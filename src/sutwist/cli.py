@@ -43,7 +43,7 @@ def _load_params(path: str) -> list[ParamTuple]:
     for idx, item in enumerate(data):
         try:
             out.append(ParamTuple.from_json(item))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"{path}: entry {idx}: {exc}") from exc
     return out
 

@@ -8,11 +8,14 @@ k in {0, ..., n-1}.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Sequence
+from itertools import accumulate, product
+from operator import add, mul, sub
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .cohomology import Cochain, FiniteAbelianGroup
 from .scalars import UnitAngle, ZERO_ANGLE
+
+T = TypeVar("T")
 
 
 class NotDescendable(ValueError):
@@ -24,8 +27,8 @@ class WeightVec:
 
     __slots__ = ("n", "coords")
 
-    def __init__(self, coords: Sequence[int]) -> None:
-        self.coords = tuple(int(c) for c in coords)
+    def __init__(self, coords: Iterable[int]) -> None:
+        self.coords = tuple(map(int, coords))
         self.n = len(self.coords)
 
     @classmethod
@@ -46,10 +49,10 @@ class WeightVec:
         return cls(c)
 
     def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return WeightVec(map(add, self.coords, other.coords))
 
     def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return WeightVec(map(sub, self.coords, other.coords))
 
     def __neg__(self) -> "WeightVec":
         return WeightVec(tuple(-a for a in self.coords))
@@ -125,14 +128,20 @@ def q_coordinates(lam: WeightVec) -> tuple[int, tuple[int, ...]]:
     shifted = list(lam.coords)
     shifted[0] -= k
     s = sum(shifted)
-    assert s % n == 0
-    rep = [c - s // n for c in shifted]
-    acc = 0
-    a = []
-    for i in range(n - 1):
-        acc += rep[i]
-        a.append(acc)
-    return k, tuple(a)
+    if s % n:
+        raise ArithmeticError(f"coordinate sum {s} of {lam} - {k}*L_1 is not divisible by {n}")
+    return k, tuple(accumulate(c - s // n for c in shifted[: n - 1]))
+
+
+def c_tau_residue(t: Sequence[int], lam: WeightVec, mu: WeightVec) -> int:
+    """n * c_tau(lam, mu) mod n for tau_i = t_i / n, i.e. -sum_i t_i * a_i(lam) * |mu| mod n."""
+    _, a = q_coordinates(lam)
+    return -sum(map(mul, t, a)) * weight_norm(mu) % lam.n
+
+
+def _tau_numerators(tau: TauVector) -> tuple[int, ...]:
+    """The t_i with tau_i = t_i / n."""
+    return tuple(int(tau.n * a.value) for a in tau.entries)
 
 
 def c_tau_eval(tau: TauVector, lam: WeightVec, mu: WeightVec) -> UnitAngle:
@@ -142,51 +151,66 @@ def c_tau_eval(tau: TauVector, lam: WeightVec, mu: WeightVec) -> UnitAngle:
     section coordinates; the two defining recursions follow from a(lam + alpha_i)
     = a(lam) + e_i and the n-torsion of tau.
     """
-    _, a = q_coordinates(lam)
-    norm_mu = weight_norm(mu)
-    out = ZERO_ANGLE
-    for i in range(1, tau.n):
-        out = out + tau.angle(i).scale(-a[i - 1] * norm_mu)
-    return out
+    return UnitAngle(Fraction(c_tau_residue(_tau_numerators(tau), lam, mu), tau.n))
 
 
 CochainFn = Callable[[WeightVec, WeightVec], UnitAngle]
 
 
-def coboundary3(c: CochainFn, lam: WeightVec, mu: WeightVec, nu: WeightVec) -> UnitAngle:
+def coboundary3(c: Callable[[WeightVec, WeightVec], T], lam: WeightVec, mu: WeightVec, nu: WeightVec) -> T:
     """The bar-complex coboundary of a 2-cochain on P, in angle notation."""
     return c(mu, nu) - c(lam + mu, nu) + c(lam, mu + nu) - c(lam, mu)
 
 
-def descend_to_PQ(c: CochainFn, n: int) -> Cochain:
-    """Tabulate the coboundary of c on section representatives as a 3-cochain on Z/n.
+def _descend(cob: Callable[[WeightVec, WeightVec, WeightVec], T], n: int) -> list[T]:
+    """Values of a 3-cochain on P at the section triples of Z/n, in product order.
 
     Invariance under the root lattice is verified by perturbing each argument
     of each section triple by every simple root and by (1, ..., 1); any failure
     raises NotDescendable.
     """
-    group = FiniteAbelianGroup([n])
     section = [WeightVec.L(n, 1).scale(k) for k in range(n)]
     perturbations = [WeightVec.alpha(n, i) for i in range(1, n)] + [WeightVec((1,) * n)]
-    table = {}
+    values = []
     for a, b, cc in product(range(n), repeat=3):
         args = (section[a], section[b], section[cc])
-        base = coboundary3(c, *args)
+        base = cob(*args)
         for pos in range(3):
             for pert in perturbations:
                 moved = list(args)
                 moved[pos] = moved[pos] + pert
-                if coboundary3(c, *moved) != base:
+                if cob(*moved) != base:
                     raise NotDescendable(
                         f"coboundary not Q-invariant at {(a, b, cc)}, argument {pos}, shift {pert}"
                     )
-        table[((a,), (b,), (cc,))] = base
-    return Cochain(group, 3, table)
+        values.append(base)
+    return values
+
+
+def descend_to_PQ(c: CochainFn, n: int) -> Cochain:
+    """Tabulate the coboundary of c on section representatives as a 3-cochain on Z/n.
+
+    c returns angles; see `_descend` for the Q-invariance checks.
+    """
+    group = FiniteAbelianGroup([n])
+    values = _descend(lambda *args: coboundary3(c, *args), n)
+    return Cochain(group, 3, dict(zip(product(group.elements(), repeat=3), values)))
 
 
 def descend_c_tau(tau: TauVector) -> Cochain:
-    """The 3-cocycle on Z/n obtained from the coboundary of c_tau."""
-    return descend_to_PQ(lambda lam, mu: c_tau_eval(tau, lam, mu), tau.n)
+    """The 3-cocycle on Z/n obtained from the coboundary of c_tau.
+
+    Runs on residues mod n (see `c_tau_residue`), with every Q-invariance
+    check of `_descend`.
+    """
+    n = tau.n
+    t = _tau_numerators(tau)
+
+    def residue(lam: WeightVec, mu: WeightVec) -> int:
+        return c_tau_residue(t, lam, mu)
+
+    values = _descend(lambda *args: coboundary3(residue, *args) % n, n)
+    return Cochain.from_numerators(FiniteAbelianGroup([n]), 3, values, n)
 
 
 def all_tau_vectors(n: int) -> list[TauVector]:

@@ -163,17 +163,10 @@ class HalfLaurent:
         q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError(f"q0 must be positive, got {q0}")
-        root: Fraction | None = None
         if any(e % 2 for e in self.terms):
             root = _sqrt_fraction(q0)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            if e % 2 == 0:
-                total += c * q0 ** (e // 2)
-            else:
-                assert root is not None
-                total += c * root**e
-        return total
+            return sum((c * root**e for e, c in self.terms.items()), Fraction(0))
+        return sum((c * q0 ** (e // 2) for e, c in self.terms.items()), Fraction(0))
 
     def monomials(self) -> Iterator[tuple[int, int]]:
         """(doubled exponent, coefficient) pairs in increasing exponent order."""

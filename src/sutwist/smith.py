@@ -4,9 +4,15 @@ Returns S = U * A * V with S diagonal and nonnegative (the divisibility chain
 of the true Smith form is not enforced; solving linear systems over Q/Z only
 needs the diagonal).  Sizes in this project stay below a few hundred rows, so
 a plain pivot-and-reduce loop over Python ints is exact and fast enough.
+
+`mat_mul` and `mat_vec` are plain integer products.  The cohomology solver
+applies U and V to integer numerators over a common modulus, and checks the
+factorization with `mat_mul` once per matrix, so no Fraction enters here.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -79,5 +85,10 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return s, u, v
 
 
-def mat_vec(a: Matrix, x: list) -> list:
-    return [sum(r * xi for r, xi in zip(row, x)) for row in a]
+def mat_vec(a: Matrix, x) -> list[int]:
+    return [sum(map(mul, row, x)) for row in a]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]

@@ -121,7 +121,8 @@ def _hvals_from_weights(n: int, weights: Sequence[Sequence[Fraction]]) -> dict[i
 def _as_int(p: HalfLaurent) -> int:
     if not p.terms:
         return 0
-    assert set(p.terms) == {0}
+    if set(p.terms) != {0}:
+        raise ArithmeticError(f"expected an integer constant, got {p!r}")
     return p.terms[0]
 
 

@@ -172,3 +172,19 @@ class TestBadInput:
         path = write_params(tmp_path, [param_entry(), {"n": 3}])
         assert main(["classify", "--param", str(path)]) == 2
         assert "entry 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            param_entry(q="1/0"),
+            param_entry(taus=("1/0", "0")),
+            {**param_entry(), "omega": [["0", "2/0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+        ],
+        ids=["q", "tau", "omega"],
+    )
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, entry):
+        path = write_params(tmp_path, [entry])
+        assert main(["classify", "--param", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "entry 0" in err
+        assert "Traceback" not in err

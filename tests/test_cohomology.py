@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sutwist import cohomology
 from sutwist.cohomology import (
+    CertificateError,
     Cochain,
     DegreeMismatch,
     FiniteAbelianGroup,
@@ -13,6 +17,7 @@ from sutwist.cohomology import (
     NotCyclic,
     aut_pullback,
     aut_witness_cochain,
+    class_key,
     coboundary,
     cohomologous,
     cyclic_class_invariant,
@@ -180,3 +185,118 @@ class TestKlein:
         assert phi3(plus, plus, plus) == ZERO_ANGLE
         assert phi3(minus, minus, minus) == ZERO_ANGLE
         assert phi3(vector, vector, vector) == HALF_ANGLE
+
+
+class TestCertificates:
+    def test_class_key_needs_a_cocycle(self):
+        c = Cochain.from_numerators(FiniteAbelianGroup([3]), 3, [1] + [0] * 26, 3)
+        with pytest.raises(NotCocycle):
+            class_key(c)
+
+    def test_smith_data_that_fails_its_factorization_is_refused(self, monkeypatch):
+        real = cohomology.smith_normal_form
+
+        def corrupted(a):
+            s, u, v = real(a)
+            s[0][0] += 1
+            return s, u, v
+
+        monkeypatch.setattr(cohomology, "smith_normal_form", corrupted)
+        cohomology._solver_data.cache_clear()
+        try:
+            with pytest.raises(CertificateError):
+                cohomology._solver_data((3,), 2)
+        finally:
+            cohomology._solver_data.cache_clear()
+
+    def test_wrong_witness_is_refused(self, monkeypatch):
+        solver = cohomology._solver_data((3,), 3)
+        zero_v = [[0] * len(row) for row in solver.v]
+        monkeypatch.setattr(cohomology, "_solver_data", lambda *key: solver._replace(v=zero_v))
+        b = Cochain.from_numerators(FiniteAbelianGroup([3]), 2, range(9), 3)
+        phi = standard_cyclic_3cocycle(3, 1)
+        with pytest.raises(CertificateError):
+            cohomologous(phi + coboundary(b), phi)
+
+
+# --- properties -----------------------------------------------------------
+
+FACTORS = [(2,), (3,), (4,), (2, 2)]
+angle_values = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@st.composite
+def cochains(draw, degrees=(1, 2, 3)):
+    group = FiniteAbelianGroup(draw(st.sampled_from(FACTORS)))
+    degree = draw(st.sampled_from(degrees))
+    keys = list(product(group.elements(), repeat=degree))
+    values = draw(st.lists(angle_values, min_size=len(keys), max_size=len(keys)))
+    return Cochain(group, degree, {k: UnitAngle(v) for k, v in zip(keys, values)})
+
+
+def fraction_bar_differential(c: Cochain) -> dict:
+    """The bar differential over Fractions, from point values only."""
+    factors, degree = c.group.factors, c.degree
+    elems = list(product(*(range(k) for k in factors)))
+
+    def add(g, h):
+        return tuple((a + b) % k for a, b, k in zip(g, h, factors))
+
+    out = {}
+    for args in product(elems, repeat=degree + 1):
+        total = c(*args[1:]).value
+        for i in range(degree):
+            total += (-1) ** (i + 1) * c(*args[:i], add(args[i], args[i + 1]), *args[i + 2 :]).value
+        total += (-1) ** (degree + 1) * c(*args[:-1]).value
+        out[args] = total % 1
+    return out
+
+
+def klein_combinations() -> list[Cochain]:
+    phis = klein_cocycles()
+    out = []
+    for mask in product((0, 1), repeat=3):
+        c = Cochain.zero(phis[0].group, 3)
+        for e, phi in zip(mask, phis):
+            if e:
+                c = c + phi
+        out.append(c)
+    return out
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """Two cocycles with their class labels, each moved by a random coboundary."""
+    k = draw(st.sampled_from([2, 3, 4, "klein"]))
+    reps = klein_combinations() if k == "klein" else [standard_cyclic_3cocycle(k, j) for j in range(k)]
+    group = reps[0].group
+    first = draw(st.integers(0, len(reps) - 1))
+    second = first if draw(st.booleans()) else draw(st.integers(0, len(reps) - 1))
+    out = []
+    for label in (first, second):
+        nums = draw(st.lists(st.integers(0, 11), min_size=group.order**2, max_size=group.order**2))
+        b = Cochain.from_numerators(group, 2, nums, 12)
+        out.append((reps[label] + coboundary(b), label))
+    return out
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cochains())
+    def test_coboundary_matches_fraction_differential(self, c):
+        d = coboundary(c)
+        expected = fraction_bar_differential(c)
+        assert all(d(*args) == UnitAngle(value) for args, value in expected.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_pairs())
+    def test_class_key_agrees_with_cohomologous(self, pair):
+        (a, label_a), (b, label_b) = pair
+        same_key = class_key(a) == class_key(b)
+        assert same_key == (cohomologous(a, b) is not None)
+        assert same_key == (label_a == label_b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cochains())
+    def test_json_round_trip(self, c):
+        assert Cochain.from_json(c.to_json()) == c

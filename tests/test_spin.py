@@ -8,6 +8,7 @@ import pytest
 from sutwist.scalars import HalfLaurent, NonSquareBase
 from sutwist.spin import (
     ModeMismatch,
+    _as_int,
     Representation,
     SubsetBasis,
     TensorVector,
@@ -205,6 +206,10 @@ class TestInvariantVector:
     def test_other_ranks_rejected(self):
         with pytest.raises(ValueError):
             invariant_f(5, Fraction(1, 4))
+
+    def test_non_constant_entry_is_an_error(self):
+        with pytest.raises(ArithmeticError):
+            _as_int(HalfLaurent.q_power(2))
 
 
 class TestModeMismatch:
