@@ -1,8 +1,21 @@
 """Half-spin and vector representations of the even orthogonal quantum group.
 
-Everything is exact: generator matrices have integer entries, diagonal torus
-operators have entries q^(h/2) with h in {-1, 0, 1}, and the intertwiner and
-pairing computations run over Laurent polynomials in q^(1/2).
+Everything is exact: generator matrices have integer entries and diagonal
+torus operators have entries q^(h/2) with h in {-1, 0, 1}.
+
+There is one coproduct, `coproduct_moves`.  For a generator X_i, Y_i or
+K_i^(1/2) acting on a basis tensor it yields (new key, integer coefficient,
+shift of the doubled q-exponent); X and Y act in one slot with K^(1/2) on
+every factor to its left and K^(-1/2) to its right, so the shift is the sum
+of the torus eigenvalues to the left minus the sum to the right (0 in
+classical mode).  Its consumers pick their coefficient map:
+
+- `check_V_intertwiner` keeps vectors flat, as dicts (key, doubled exponent)
+  -> int, and compares both sides of each equation as one difference dict;
+- `coproduct_action` regroups the same flat terms into a `TensorVector` over
+  Laurent polynomials in q^(1/2) (`HalfLaurent`);
+- `invariant_f` evaluates each term at a rational q0 as coefficient *
+  sqrt(q0)^shift.
 
 Subsets of {1, ..., n} are bitmasks (bit k-1 is the element k); the basis
 vector for a subset is the ascending wedge of its elements.
@@ -12,14 +25,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .scalars import HalfLaurent, _sqrt_fraction
 
 Mode = Literal["classical", "quantum"]
 
-# sparse operator: column index -> list of (row index, coefficient)
-SparseOp = dict[int, list[tuple[int, HalfLaurent]]]
+# sparse operator: column index -> list of (row index, integer coefficient)
+SparseOp = dict[int, list[tuple[int, int]]]
+# flat tensor vector: (basis tensor, doubled q-exponent) -> integer coefficient
+FlatVector = dict[tuple[tuple[int, ...], int], int]
 
 
 class MultiplicityNotOne(ValueError):
@@ -70,13 +85,9 @@ class SubsetBasis:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def weights(self) -> list[tuple[Fraction, ...]]:
-        """Weight of e_X: coordinate k is +1/2 for k in X, else -1/2."""
-        half = Fraction(1, 2)
-        return [
-            tuple(half if mask >> k & 1 else -half for k in range(self.n))
-            for mask in self.masks
-        ]
+    def doubled_weights(self) -> list[tuple[int, ...]]:
+        """Twice the weight of e_X: coordinate k is +1 for k in X, else -1."""
+        return [tuple(1 if mask >> k & 1 else -1 for k in range(self.n)) for mask in self.masks]
 
     def __repr__(self) -> str:
         return f"SubsetBasis(n={self.n}, parity={self.parity!r})"
@@ -91,30 +102,29 @@ class VectorBasis:
     def __len__(self) -> int:
         return 2 * self.n
 
-    def weights(self) -> list[tuple[Fraction, ...]]:
-        """Weight of e_k is L_k for k <= n and -L_{k-n} for k > n."""
-        out: list[tuple[Fraction, ...]] = []
-        for sign in (1, -1):
-            for k in range(self.n):
-                out.append(tuple(Fraction(sign if j == k else 0) for j in range(self.n)))
-        return out
+    def doubled_weights(self) -> list[tuple[int, ...]]:
+        """Twice the weight of e_k, which is L_k for k <= n and -L_{k-n} for k > n."""
+        return [
+            tuple(2 * sign if j == k else 0 for j in range(self.n)) for sign in (1, -1) for k in range(self.n)
+        ]
 
     def __repr__(self) -> str:
         return f"VectorBasis(n={self.n})"
 
 
-def _hvals_from_weights(n: int, weights: Sequence[Sequence[Fraction]]) -> dict[int, list[int]]:
-    """Torus eigenvalues h_i from the weight of each basis vector.
+def _hvals_from_weights(n: int, doubled: Sequence[Sequence[int]]) -> dict[int, list[int]]:
+    """Torus eigenvalues h_i from twice the weight of each basis vector.
 
     For i < n the coroot pairing is w_i - w_{i+1}; the exceptional node pairs
-    with w_{n-1} + w_n.  Deriving h from weights rather than from [X_i, Y_i]
+    with w_{n-1} + w_n.  Both are integers on these bases, so the doubled
+    sums are even.  Deriving h from weights rather than from [X_i, Y_i]
     keeps it independent of the sign conventions chosen for the generator
     matrices (the exceptional wedge pair satisfies [X_n, Y_n] = -H_n).
     """
     hvals: dict[int, list[int]] = {}
     for i in range(1, n):
-        hvals[i] = [int(w[i - 1] - w[i]) for w in weights]
-    hvals[n] = [int(w[n - 2] + w[n - 1]) for w in weights]
+        hvals[i] = [(w[i - 1] - w[i]) // 2 for w in doubled]
+    hvals[n] = [(w[n - 2] + w[n - 1]) // 2 for w in doubled]
     return hvals
 
 
@@ -124,10 +134,6 @@ def _as_int(p: HalfLaurent) -> int:
     if set(p.terms) != {0}:
         raise ArithmeticError(f"expected an integer constant, got {p!r}")
     return p.terms[0]
-
-
-def _unit(c: int) -> HalfLaurent:
-    return HalfLaurent({0: c})
 
 
 class Representation:
@@ -144,13 +150,7 @@ class Representation:
         self.n = basis.n
         self.x_ops = x_ops
         self.y_ops = y_ops
-        self.hvals = _hvals_from_weights(self.n, basis.weights())
-
-    def k_half_entry(self, i: int, idx: int, power: int = 1) -> HalfLaurent:
-        """The diagonal entry of K_i^(power/2) on basis vector idx."""
-        if self.mode == "classical":
-            return HalfLaurent.one()
-        return HalfLaurent({self.hvals[i][idx] * power: 1})
+        self.hvals = _hvals_from_weights(self.n, basis.doubled_weights())
 
     def generator(self, kind: str, i: int) -> SparseOp:
         if kind == "X":
@@ -173,19 +173,19 @@ def build_vector_rep(n: int, mode: Mode) -> Representation:
     # indices: e_k is k-1, e_{n+k} is n+k-1 (0-based)
     for i in range(1, n):
         x: SparseOp = {}
-        x[i] = [(i - 1, _unit(1))]  # e_{i+1} -> e_i
-        x[n + i - 1] = [(n + i, _unit(-1))]  # e_{n+i} -> -e_{n+i+1}
+        x[i] = [(i - 1, 1)]  # e_{i+1} -> e_i
+        x[n + i - 1] = [(n + i, -1)]  # e_{n+i} -> -e_{n+i+1}
         y: SparseOp = {}
-        y[i - 1] = [(i, _unit(1))]  # e_i -> e_{i+1}
-        y[n + i] = [(n + i - 1, _unit(-1))]  # e_{n+i+1} -> -e_{n+i}
+        y[i - 1] = [(i, 1)]  # e_i -> e_{i+1}
+        y[n + i] = [(n + i - 1, -1)]  # e_{n+i+1} -> -e_{n+i}
         x_ops[i] = x
         y_ops[i] = y
     x: SparseOp = {}
-    x[2 * n - 1] = [(n - 2, _unit(1))]  # e_{2n} -> e_{n-1}
-    x[2 * n - 2] = [(n - 1, _unit(-1))]  # e_{2n-1} -> -e_n
+    x[2 * n - 1] = [(n - 2, 1)]  # e_{2n} -> e_{n-1}
+    x[2 * n - 2] = [(n - 1, -1)]  # e_{2n-1} -> -e_n
     y = {}
-    y[n - 1] = [(2 * n - 2, _unit(1))]  # e_n -> e_{2n-1}
-    y[n - 2] = [(2 * n - 1, _unit(-1))]  # e_{n-1} -> -e_{2n}
+    y[n - 1] = [(2 * n - 2, 1)]  # e_n -> e_{2n-1}
+    y[n - 2] = [(2 * n - 1, -1)]  # e_{n-1} -> -e_{2n}
     x_ops[n] = x
     y_ops[n] = y
     return Representation(basis, x_ops, y_ops, mode)
@@ -198,7 +198,7 @@ def _spin_op(n: int, basis: SubsetBasis, action) -> SparseOp:
         if image is None:
             continue
         sign, new_mask = image
-        op[col] = [(basis.index[new_mask], _unit(sign))]
+        op[col] = [(basis.index[new_mask], sign)]
     return op
 
 
@@ -282,27 +282,6 @@ class TensorVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, HalfLaurent.zero()) + v
-        return TensorVector(self.factors, out)
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + other.scale(HalfLaurent.from_int(-1))
-
-    def scale(self, c: HalfLaurent) -> "TensorVector":
-        return TensorVector(self.factors, {k: v * c for k, v in self.entries.items()})
-
-    def dot(self, other: "TensorVector") -> HalfLaurent:
-        """Orthonormal-basis pairing; real coefficients, so no conjugation."""
-        total = HalfLaurent.zero()
-        for k, v in self.entries.items():
-            w = other.entries.get(k)
-            if w is not None:
-                total = total + v * w
-        return total
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TensorVector) and self.entries == other.entries
 
@@ -310,36 +289,76 @@ class TensorVector:
         return f"TensorVector({len(self.factors)} factors, {len(self.entries)} entries)"
 
 
+Move = tuple[tuple[int, ...], int, int]
+
+
+def coproduct_moves(kind: str, i: int, reps: Sequence[Representation]) -> Callable[[tuple[int, ...]], list[Move]]:
+    """The move table of the iterated coproduct of a generator on a tensor product.
+
+    Returns a function that sends a basis tensor to its terms (new key,
+    integer coefficient, shift of the doubled q-exponent).  K^(1/2) acts as
+    the tensor of its single-factor actions, so it keeps the key and shifts
+    by the summed torus eigenvalues.  X and Y act in one slot at a time with
+    K^(1/2) on every factor to the left and K^(-1/2) to the right (the
+    two-term quantum formula iterated left-to-right), so the shift is the sum
+    of the eigenvalues to the left minus the sum to the right.  Every shift is
+    0 in classical mode, which for X and Y is the Leibniz rule.
+    """
+    quantum = reps[0].mode == "quantum"
+    hvals = [rep.hvals[i] for rep in reps]
+    if kind == "K":
+        if not quantum:
+            return lambda key: [(key, 1, 0)]
+        return lambda key: [(key, 1, sum([h[k] for h, k in zip(hvals, key)]))]
+    slots = list(enumerate(rep.generator(kind, i) for rep in reps))
+
+    def moves(key: tuple[int, ...]) -> list[Move]:
+        out = []
+        for slot, op in slots:
+            targets = op.get(key[slot])
+            if targets:
+                shift = 0
+                if quantum:
+                    for t, h in enumerate(hvals):
+                        if t < slot:
+                            shift += h[key[t]]
+                        elif t > slot:
+                            shift -= h[key[t]]
+                for row, c in targets:
+                    out.append((key[:slot] + (row,) + key[slot + 1 :], c, shift))
+        return out
+
+    return moves
+
+
+def _flatten(vec: TensorVector) -> FlatVector:
+    return {(key, e): c for key, coeff in vec.entries.items() for e, c in coeff.terms.items()}
+
+
+def _act(kind: str, i: int, reps: Sequence[Representation], vec: FlatVector, out: FlatVector) -> None:
+    """Add the coproduct action of the generator on vec into out."""
+    moves = coproduct_moves(kind, i, reps)
+    for (key, e), c in vec.items():
+        for new_key, m, shift in moves(key):
+            k = (new_key, e + shift)
+            out[k] = out.get(k, 0) + m * c
+
+
 def coproduct_action(kind: str, i: int, reps: Sequence[Representation], vec: TensorVector) -> TensorVector:
     """Apply the iterated coproduct of a generator to a tensor vector.
 
-    X and Y act as the two-term quantum formula iterated left-to-right, which
-    for any number of factors places K^(1/2) on the left of the acting slot
-    and K^(-1/2) on the right; K^(1/2) itself acts as the tensor of its
-    single-factor actions.  Classical mode degrades to the Leibniz rule.
+    The terms of `coproduct_moves`, regrouped per basis tensor as Laurent
+    polynomials in q^(1/2).
     """
     modes = {r.mode for r in reps}
     if len(modes) > 1:
         raise ModeMismatch(f"mixed modes {modes}")
-    out: dict[tuple[int, ...], HalfLaurent] = {}
-    if kind == "K":
-        for key, coeff in vec.entries.items():
-            c = coeff
-            for rep, idx in zip(reps, key):
-                c = c * rep.k_half_entry(i, idx)
-            out[key] = out.get(key, HalfLaurent.zero()) + c
-        return TensorVector(reps, out)
-    for key, coeff in vec.entries.items():
-        for slot, rep in enumerate(reps):
-            for row, move in rep.generator(kind, i).get(key[slot], []):
-                c = coeff * move
-                for left in range(slot):
-                    c = c * reps[left].k_half_entry(i, key[left])
-                for right in range(slot + 1, len(reps)):
-                    c = c * reps[right].k_half_entry(i, key[right], power=-1)
-                new_key = key[:slot] + (row,) + key[slot + 1 :]
-                out[new_key] = out.get(new_key, HalfLaurent.zero()) + c
-    return TensorVector(reps, out)
+    flat: FlatVector = {}
+    _act(kind, i, reps, _flatten(vec), flat)
+    grouped: dict[tuple[int, ...], dict[int, int]] = {}
+    for (key, e), c in flat.items():
+        grouped.setdefault(key, {})[e] = c
+    return TensorVector(reps, {key: HalfLaurent(terms) for key, terms in grouped.items()})
 
 
 def subset_elements(mask: int) -> list[int]:
@@ -361,7 +380,7 @@ def sigma_index(n: int, i: int, mask: int, mode: Mode) -> tuple[int, HalfLaurent
     expo = index_shift(n, i, mask)
     sign = -1 if expo % 2 else 1
     if mode == "classical":
-        return expo, _unit(sign)
+        return expo, HalfLaurent.from_int(sign)
     return expo, HalfLaurent({2 * expo: sign})
 
 
@@ -409,27 +428,26 @@ def _all_submasks(mask: int) -> Iterable[int]:
 
 
 def check_V_intertwiner(n: int, mode: Mode) -> bool:
-    """Verify that e_i -> tilde_e_i intertwines every generator action exactly."""
+    """Verify that e_i -> tilde_e_i intertwines every generator action exactly.
+
+    For each generator g and basis vector e_col of V, the coproduct of g on
+    tilde_e_col minus the images of g e_col must vanish; both sides go into
+    one flat difference dict over (basis tensor, doubled q-exponent).
+    """
     plus = build_spin_rep(n, mode, "odd")
-    vec = build_vector_rep(n, mode)
+    vec = (build_vector_rep(n, mode),)
     pair = (plus, plus)
-    images = {idx: tilde_e(n, idx + 1, plus) for idx in range(2 * n)}
-
-    def push(column_vec: dict[int, HalfLaurent]) -> TensorVector:
-        out = TensorVector(pair, {})
-        for idx, c in column_vec.items():
-            out = out + images[idx].scale(c)
-        return out
-
+    images = [_flatten(tilde_e(n, idx + 1, plus)) for idx in range(2 * n)]
     for i in range(1, n + 1):
         for kind in ("X", "Y", "K"):
             for col in range(2 * n):
-                lhs = coproduct_action(kind, i, pair, images[col])
-                if kind == "K":
-                    rhs = images[col].scale(vec.k_half_entry(i, col))
-                else:
-                    rhs = push({row: c for row, c in vec.generator(kind, i).get(col, [])})
-                if not (lhs - rhs).is_zero:
+                diff: FlatVector = {}
+                _act(kind, i, pair, images[col], diff)
+                for (row,), c, shift in coproduct_moves(kind, i, vec)((col,)):
+                    for (key, e), v in images[row].items():
+                        k = (key, e + shift)
+                        diff[k] = diff.get(k, 0) - c * v
+                if any(diff.values()):
                     return False
     return True
 
@@ -506,10 +524,6 @@ def _kernel_of_columns(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def _eval_op(op: SparseOp, q0: Fraction, dim: int) -> dict[int, list[tuple[int, Fraction]]]:
-    return {col: [(row, c.evaluate(q0)) for row, c in moves] for col, moves in op.items()}
-
-
 def invariant_f(n: int, q0: Fraction) -> TensorVector:
     """The invariant vector of U+ tensor V tensor U+ pushed into the 4th tensor power of U+.
 
@@ -527,10 +541,9 @@ def invariant_f(n: int, q0: Fraction) -> TensorVector:
     vec = build_vector_rep(n, mode)
     reps = (plus, vec, plus)
     dims = [len(r.basis) for r in reps]
-    sq = _sqrt_fraction(q0) if q0 != 1 else Fraction(1)
-
-    def k_entry(rep: Representation, i: int, idx: int, power: int) -> Fraction:
-        return sq ** (rep.hvals[i][idx] * power)
+    sq = _sqrt_fraction(q0)
+    bound = len(reps) * max(abs(h) for r in reps for hs in r.hvals.values() for h in hs)
+    powers = {shift: sq**shift for shift in range(-bound, bound + 1)}
 
     # torus-neutral basis of the triple product
     keys = [
@@ -542,25 +555,18 @@ def invariant_f(n: int, q0: Fraction) -> TensorVector:
             plus.hvals[i][a] + vec.hvals[i][b] + plus.hvals[i][c] == 0 for i in range(1, n + 1)
         )
     ]
-    key_index = {k: i for i, k in enumerate(keys)}
 
     rows: list[list[Fraction]] = []
     for i in range(1, n + 1):
         for kind in ("X", "Y"):
-            ops = [_eval_op(r.generator(kind, i), q0, len(r.basis)) for r in reps]
             images: dict[tuple[int, int, int], list[Fraction]] = {}
+            moves = coproduct_moves(kind, i, reps)
             for ci, key in enumerate(keys):
-                for slot in range(3):
-                    for row, c in ops[slot].get(key[slot], []):
-                        coeff = c
-                        for left in range(slot):
-                            coeff *= k_entry(reps[left], i, key[left], 1)
-                        for right in range(slot + 1, 3):
-                            coeff *= k_entry(reps[right], i, key[right], -1)
-                        new_key = key[:slot] + (row,) + key[slot + 1 :]
-                        if new_key not in images:
-                            images[new_key] = [Fraction(0)] * len(keys)
-                        images[new_key][ci] += coeff
+                for new_key, c, shift in moves(key):
+                    row = images.get(new_key)
+                    if row is None:
+                        row = images[new_key] = [Fraction(0)] * len(keys)
+                    row[ci] += c * powers[shift]
             rows.extend(r for r in images.values() if any(r))
     kernel = _kernel_of_columns(rows)
     if len(kernel) != 1:

@@ -147,6 +147,21 @@ class TestSpinVerify:
         assert main(["spin-verify", "--n", "5", "--q", "1/4"]) == 2
         capsys.readouterr()
 
+    def test_rank_above_work_budget_refused_before_any_basis(self, capsys, monkeypatch):
+        from sutwist import spin
+        from sutwist.cli import SPIN_MAX_N
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a spin basis was built")
+
+        monkeypatch.setattr(spin, "SubsetBasis", no_basis)
+        monkeypatch.setattr(spin, "VectorBasis", no_basis)
+        n = SPIN_MAX_N + 2
+        assert main(["spin-verify", "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"2^{n - 1} = {2 ** (n - 1)}" in err
+        assert "Traceback" not in err
+
 
 class TestSelftest:
     def test_quick_scale(self, capsys):

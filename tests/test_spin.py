@@ -2,9 +2,12 @@
 sign bookkeeping, intertwiners, pairings, and the invariant vector."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sutwist import spin
 from sutwist.scalars import HalfLaurent, NonSquareBase
 from sutwist.spin import (
     ModeMismatch,
@@ -83,7 +86,7 @@ class TestCliffordQuadratic:
         for i in (1, 2):
             quad = clifford_quadratic(n, i, n + i + 1, basis)
             op = {
-                (row, col): coeff.evaluate(Fraction(1))
+                (row, col): coeff
                 for col, moves in rep.x_ops[i].items()
                 for row, coeff in moves
             }
@@ -149,10 +152,169 @@ class TestTildeE:
         assert coproduct_action("X", 1, (plus, plus), vec).is_zero
 
 
+MODES = ("classical", "quantum")
+
+
 class TestIntertwiner:
-    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_rank_three(self, mode):
         assert check_V_intertwiner(3, mode)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_higher_ranks(self, n, mode):
+        assert check_V_intertwiner(n, mode)
+
+
+def _wrap(monkeypatch, name, corrupt):
+    """Replace spin.<name> by a builder whose result `corrupt` edits in place."""
+    original = getattr(spin, name)
+
+    def built(*args):
+        result = original(*args)
+        corrupt(*args, result)
+        return result
+
+    monkeypatch.setattr(spin, name, built)
+
+
+class TestIntertwinerMutations:
+    """Every single corruption of the data the check reads makes it fail."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_flipped_tilde_e_sign(self, monkeypatch, n, mode):
+        plus = build_spin_rep(n, mode, "odd")
+        for gen in range(1, 2 * n + 1):
+            for key in list(tilde_e(n, gen, plus).entries)[:: 1 if n == 3 else 7]:
+                with monkeypatch.context() as m:
+
+                    def corrupt(n_, i, rep, vec, gen=gen, key=key):
+                        if i == gen:
+                            vec.entries[key] = -vec.entries[key]
+
+                    _wrap(m, "tilde_e", corrupt)
+                    assert not spin.check_V_intertwiner(n, mode), (gen, key)
+
+    @pytest.mark.parametrize("builder", ["build_spin_rep", "build_vector_rep"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_changed_generator_entry(self, monkeypatch, builder, mode):
+        n = 3
+        rep = getattr(spin, builder)(n, mode, *(("odd",) if builder == "build_spin_rep" else ()))
+        entries = [
+            (kind, i, col)
+            for kind, ops in (("X", rep.x_ops), ("Y", rep.y_ops))
+            for i, op in ops.items()
+            for col in op
+        ]
+        assert entries
+        for kind, i, col in entries:
+            with monkeypatch.context() as m:
+
+                def corrupt(*args, kind=kind, i=i, col=col):
+                    (row, c), *rest = args[-1].generator(kind, i)[col]
+                    args[-1].generator(kind, i)[col] = [(row, -c), *rest]
+
+                _wrap(m, builder, corrupt)
+                assert not spin.check_V_intertwiner(n, mode), (kind, i, col)
+
+    @pytest.mark.parametrize("builder", ["build_spin_rep", "build_vector_rep"])
+    def test_off_by_one_torus_eigenvalue(self, monkeypatch, builder):
+        # Classical K^(1/2) acts as the identity, so the classical check never
+        # reads hvals; only the quantum check can see this corruption.
+        n = 3
+        rep = getattr(spin, builder)(n, "quantum", *(("odd",) if builder == "build_spin_rep" else ()))
+        for i, values in rep.hvals.items():
+            for idx in range(len(values)):
+                with monkeypatch.context() as m:
+
+                    def corrupt(*args, i=i, idx=idx):
+                        args[-1].hvals[i][idx] += 1
+
+                    _wrap(m, builder, corrupt)
+                    assert not spin.check_V_intertwiner(n, "quantum"), (i, idx)
+
+
+@lru_cache(maxsize=None)
+def _reps(n: int, mode: str) -> dict:
+    return {"plus": build_spin_rep(n, mode, "odd"), "vec": build_vector_rep(n, mode)}
+
+
+def _dense_generator(rep, kind, i):
+    d = len(rep.basis)
+    m = [[HalfLaurent.zero() for _ in range(d)] for _ in range(d)]
+    for col, moves in rep.generator(kind, i).items():
+        for row, c in moves:
+            m[row][col] = m[row][col] + HalfLaurent.from_int(c)
+    return m
+
+
+def _dense_k_half(rep, i, power):
+    """K_i^(power/2): q^(power * h / 2) on the diagonal, the identity classically."""
+    d = len(rep.basis)
+    m = [[HalfLaurent.zero() for _ in range(d)] for _ in range(d)]
+    for idx in range(d):
+        m[idx][idx] = HalfLaurent.one() if rep.mode == "classical" else HalfLaurent.q_power(power * rep.hvals[i][idx])
+    return m
+
+
+def _apply_kron(mats, entries):
+    """(M_1 tensor ... tensor M_m) on a vector, applying one factor matrix per axis."""
+    for axis, m in enumerate(mats):
+        out = {}
+        for key, v in entries.items():
+            for row in range(len(m)):
+                c = m[row][key[axis]]
+                if not c.is_zero:
+                    new_key = key[:axis] + (row,) + key[axis + 1 :]
+                    out[new_key] = out.get(new_key, HalfLaurent.zero()) + c * v
+        entries = out
+    return entries
+
+
+def _dense_coproduct(kind, i, reps, vec):
+    """K^(1/2) tensor ... tensor G tensor K^(-1/2) tensor ..., summed over the slot of G."""
+    if kind == "K":
+        terms = [[_dense_k_half(r, i, 1) for r in reps]]
+    else:
+        terms = [
+            [_dense_k_half(r, i, 1) for r in reps[:slot]]
+            + [_dense_generator(reps[slot], kind, i)]
+            + [_dense_k_half(r, i, -1) for r in reps[slot + 1 :]]
+            for slot in range(len(reps))
+        ]
+    total = {}
+    for mats in terms:
+        for key, v in _apply_kron(mats, vec.entries).items():
+            total[key] = total.get(key, HalfLaurent.zero()) + v
+    return TensorVector(reps, total)
+
+
+FACTOR_PATTERNS = {
+    3: (("plus", "plus"), ("plus", "vec", "plus"), ("vec",)),
+    5: (("plus", "plus"), ("vec", "plus")),
+}
+
+
+@st.composite
+def _coproduct_cases(draw):
+    n = draw(st.sampled_from(sorted(FACTOR_PATTERNS)))
+    mode = draw(st.sampled_from(MODES))
+    reps = tuple(_reps(n, mode)[name] for name in draw(st.sampled_from(FACTOR_PATTERNS[n])))
+    keys = st.tuples(*(st.integers(0, len(r.basis) - 1) for r in reps))
+    coeffs = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(HalfLaurent)
+    entries = draw(st.dictionaries(keys, coeffs, max_size=6))
+    kind = draw(st.sampled_from(("X", "Y", "K")))
+    i = draw(st.integers(1, n))
+    return kind, i, reps, TensorVector(reps, entries)
+
+
+class TestCoproductAgainstDense:
+    @settings(max_examples=80, deadline=None)
+    @given(_coproduct_cases())
+    def test_matches_dense_reference(self, case):
+        kind, i, reps, vec = case
+        assert coproduct_action(kind, i, reps, vec) == _dense_coproduct(kind, i, reps, vec)
 
 
 class TestEmbeddings:
