@@ -111,7 +111,8 @@ def present_cmd(args: argparse.Namespace) -> int:
 
 # Largest rank spin-verify accepts.  The checks work on the 2^(n-1)-dimensional
 # half-spin representation and its tensor square; --n 13 (dimension 4096)
-# takes about 6 s and 46 MB, and each step of 2 in n costs about five times more.
+# takes about 6 s and 46 MB on a 2-core x86-64 host under Python 3.11, and
+# each step of 2 in n costs about five times more.
 SPIN_MAX_N = 13
 
 

@@ -3,12 +3,13 @@
 Everything is exact: generator matrices have integer entries and diagonal
 torus operators have entries q^(h/2) with h in {-1, 0, 1}.
 
-There is one coproduct, `coproduct_moves`.  For a generator X_i, Y_i or
-K_i^(1/2) acting on a basis tensor it yields (new key, integer coefficient,
-shift of the doubled q-exponent); X and Y act in one slot with K^(1/2) on
-every factor to its left and K^(-1/2) to its right, so the shift is the sum
-of the torus eigenvalues to the left minus the sum to the right (0 in
-classical mode).  Its consumers pick their coefficient map:
+There is one coproduct, `coproduct_moves`: the move table of a generator
+X_i, Y_i or K_i^(1/2) on a tensor product, which sends a basis tensor to its
+terms (new key, integer coefficient, shift of the doubled q-exponent).  X and
+Y act in one slot with K^(1/2) on every factor to its left and K^(-1/2) to
+its right, so the shift is the sum of the torus eigenvalues to the left minus
+the sum to the right (0 in classical mode).  Its consumers pick their
+coefficient map:
 
 - `check_V_intertwiner` keeps vectors flat, as dicts (key, doubled exponent)
   -> int, and compares both sides of each equation as one difference dict;
