@@ -1,4 +1,4 @@
-"""Byte-exact golden outputs of the cohomology and spin layers.
+"""Byte-exact golden outputs of the command line and the cochain layer.
 
 `tests/golden/` holds the stdout of `sutwist cohomology --n {2,3,4} --report
 json` and the `Cochain.to_json()` form of the standard cyclic 3-cocycles
@@ -10,6 +10,13 @@ reproduce them byte for byte.
 It also holds the stdout of `sutwist spin-verify` at n = 3, 5, 7, 9 with
 `--report json`, and at n = 3 with `--q 4/9` and `--q 1/4` in both report
 styles, captured from the HalfLaurent-backed spin implementation.
+
+It also holds `classify` and `canonical` with `--report text` on the 162
+rank-3 tuples of `selftest._grid_params()`, `present` at n = 2..5 in JSON and
+LaTeX on fixed tuples with non-trivial tau (and non-trivial omega from n = 3
+on; at n = 2 omega is forced to vanish), and `selftest --scale quick --report
+json`.  Their parameter files are committed next to them
+(`*-params.json`), so the outputs can be reproduced from the shell.
 
 To rewrite them after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -24,30 +31,34 @@ from pathlib import Path
 
 import pytest
 
+from fractions import Fraction
+
 from sutwist.cli import main
+from sutwist.classification import ParamTuple, SkewBicharacter
 from sutwist.cohomology import Cochain, klein_cocycles, standard_cyclic_3cocycle
-from sutwist.lattice import all_tau_vectors, descend_c_tau
+from sutwist.lattice import TauVector, all_tau_vectors, descend_c_tau
+from sutwist.scalars import UnitAngle
+from sutwist.selftest import _grid_params
 
 GOLDEN = Path(__file__).parent / "golden"
 RANKS = (2, 3, 4)
 
 
-def cohomology_stdout(n: int) -> str:
+def cli_stdout(*args: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["cohomology", "--n", str(n), "--report", "json"])
+        code = main(list(args))
     if code != 0:
-        raise RuntimeError(f"cohomology --n {n} exited with {code}")
+        raise RuntimeError(f"{' '.join(args)} exited with {code}")
     return out.getvalue()
+
+
+def cohomology_stdout(n: int) -> str:
+    return cli_stdout("cohomology", "--n", str(n), "--report", "json")
 
 
 def spin_verify_stdout(args: tuple[str, ...]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["spin-verify", *args])
-    if code != 0:
-        raise RuntimeError(f"spin-verify {' '.join(args)} exited with {code}")
-    return out.getvalue()
+    return cli_stdout("spin-verify", *args)
 
 
 SPIN_CASES = {
@@ -58,6 +69,54 @@ SPIN_CASES = {
         for report in ("json", "text")
     },
 }
+
+
+def _angles(*texts: str) -> list[UnitAngle]:
+    return [UnitAngle(Fraction(t)) for t in texts]
+
+
+def present_param(n: int) -> ParamTuple:
+    """A fixed tuple with non-trivial tau and, for n >= 3, non-trivial omega."""
+    tau = {2: ("1/2",), 3: ("1/3", "2/3"), 4: ("1/4", "1/2", "3/4"), 5: ("1/5", "0", "3/5", "2/5")}[n]
+    upper = {
+        2: {},
+        3: {(1, 2): "1/6"},
+        4: {(1, 2): "1/8", (1, 3): "1/3", (2, 3): "5/12"},
+        5: {(1, 2): "1/10", (1, 3): "1/4", (1, 4): "0", (2, 3): "2/3", (2, 4): "7/12", (3, 4): "1/6"},
+    }[n]
+    omega = SkewBicharacter.from_upper_block(n, {k: UnitAngle(Fraction(v)) for k, v in upper.items()})
+    return ParamTuple(n, Fraction(2, 3), TauVector(n, _angles(*tau)), omega)
+
+
+PRESENT_RANKS = (2, 3, 4, 5)
+PARAM_FILES = {
+    "grid-params.json": lambda: [p.to_json() for p in _grid_params()],
+    **{f"present-n{n}-params.json": (lambda n=n: present_param(n).to_json()) for n in PRESENT_RANKS},
+}
+
+
+def param_text(name: str) -> str:
+    return json.dumps(PARAM_FILES[name](), indent=1, sort_keys=True) + "\n"
+
+
+CLI_CASES = {
+    **{
+        f"{command}-grid.text": (command, "--param", "grid-params.json", "--report", "text")
+        for command in ("classify", "canonical")
+    },
+    **{
+        f"present-n{n}.{fmt}": ("present", "--param", f"present-n{n}-params.json", "--format", fmt)
+        for n in PRESENT_RANKS
+        for fmt in ("json", "latex")
+    },
+    "selftest-quick.json": ("selftest", "--scale", "quick", "--report", "json"),
+}
+
+
+def cli_case_stdout(name: str) -> str:
+    """Run a CLI case, reading its parameter file from the golden directory."""
+    args = CLI_CASES[name]
+    return cli_stdout(*(str(GOLDEN / a) if a in PARAM_FILES else a for a in args))
 
 
 def cochain_lines() -> str:
@@ -85,6 +144,7 @@ def expected_files() -> dict[str, str]:
     files = {f"cohomology-n{n}.json": cohomology_stdout(n) for n in RANKS}
     files["cochains.jsonl"] = cochain_lines()
     files.update({name: spin_verify_stdout(args) for name, args in SPIN_CASES.items()})
+    files.update({name: cli_case_stdout(name) for name in CLI_CASES})
     return files
 
 
@@ -102,7 +162,21 @@ def test_spin_verify_cli_output(name):
     assert spin_verify_stdout(SPIN_CASES[name]).encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(PARAM_FILES))
+def test_param_file(name):
+    assert param_text(name).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output(name):
+    assert cli_case_stdout(name).encode() == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
+    # parameter files first: the CLI cases read them
+    for name in PARAM_FILES:
+        (GOLDEN / name).write_bytes(param_text(name).encode())
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
     for name, text in expected_files().items():
         (GOLDEN / name).write_bytes(text.encode())
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
