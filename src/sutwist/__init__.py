@@ -2,11 +2,13 @@
 
 Submodules:
   scalars        - angles in Q/Z, Laurent polynomials in q^(1/2)
+  smith          - exact linear algebra: integer Smith form, rational kernels
   lattice        - SU(n) weight lattice and the explicit 2-cochains c_tau
   cohomology     - cochains and low-degree cohomology of finite abelian groups
   classification - the isomorphism decision procedure for (n, q, tau, omega)
   presentation   - generators and relations of the twisted coordinate algebra
   spin           - half-spin representation checks for the even orthogonal case
+  selftest       - the verification suite behind `sutwist selftest`
   cli            - command-line frontend
 """
 

@@ -148,7 +148,7 @@ def central_invariant(tau: TauVector) -> UnitAngle:
     return out
 
 
-def _tau_interval(tau: TauVector, i: int, j: int) -> UnitAngle:
+def tau_interval(tau: TauVector, i: int, j: int) -> UnitAngle:
     """sum of tau_k angles for i <= k <= j-1."""
     out = ZERO_ANGLE
     for k in range(i, j):
@@ -159,24 +159,24 @@ def _tau_interval(tau: TauVector, i: int, j: int) -> UnitAngle:
 def pair_invariant(p: ParamTuple) -> Matrix:
     """M_{ij} = 2*omega_{ij} + sum_{k=i}^{j-1} tau_k, over 1 <= i < j <= n-1."""
     return tuple(
-        tuple(p.omega.angle(i, j).scale(2) + _tau_interval(p.tau, i, j) for j in range(i + 1, p.n))
+        tuple(p.omega.angle(i, j).scale(2) + tau_interval(p.tau, i, j) for j in range(i + 1, p.n))
         for i in range(1, p.n)
     )
 
 
 def mirror_invariant(p: ParamTuple) -> Matrix:
-    """M'_{ij} = 2*omega_{n-i+1, n-j+1} - sum_{k=i}^{j-1} tau_{n-k}."""
+    """M'_{ij} = 2*omega_{n-i+1, n-j+1} - sum_{k=i}^{j-1} tau_{n-k}.
+
+    The tau sum runs over tau_{n-j+1}, ..., tau_{n-i}.
+    """
     n = p.n
-    out = []
-    for i in range(1, n):
-        row = []
-        for j in range(i + 1, n):
-            val = p.omega.angle(n - i + 1, n - j + 1).scale(2)
-            for k in range(i, j):
-                val = val - p.tau.angle(n - k)
-            row.append(val)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(
+            p.omega.angle(n - i + 1, n - j + 1).scale(2) - tau_interval(p.tau, n - j + 1, n - i + 1)
+            for j in range(i + 1, n)
+        )
+        for i in range(1, n)
+    )
 
 
 def theta_transform(p: ParamTuple) -> ParamTuple:
@@ -203,17 +203,6 @@ def is_isomorphic(p1: ParamTuple, p2: ParamTuple) -> IsoCase:
     if m1 == mirror_invariant(p2):
         return IsoCase.MIRROR
     return IsoCase.NO
-
-
-def h2_equal(omega: SkewBicharacter, other: SkewBicharacter) -> bool:
-    """Whether the two bicharacters agree after doubling every angle."""
-    if omega.n != other.n:
-        raise RankMismatch(f"n={omega.n} vs n={other.n}")
-    return all(
-        omega.angles[i][j].scale(2) == other.angles[i][j].scale(2)
-        for i in range(omega.n)
-        for j in range(omega.n)
-    )
 
 
 def twist_compose(p: ParamTuple, extra: SkewBicharacter) -> ParamTuple:
@@ -246,7 +235,7 @@ def canonical_form(p: ParamTuple) -> ParamTuple:
     upper = {}
     for i in range(1, n):
         for j in range(i + 1, n):
-            want = target[i - 1][j - i - 1] - _tau_interval(tau, i, j)
+            want = target[i - 1][j - i - 1] - tau_interval(tau, i, j)
             upper[(i, j)] = want.halve()
     omega = SkewBicharacter.from_upper_block(n, upper)
     return ParamTuple(n, p.q, tau, omega)

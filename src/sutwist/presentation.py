@@ -12,7 +12,7 @@ import json
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .classification import ParamTuple, RankMismatch, SkewBicharacter
+from .classification import ParamTuple, SkewBicharacter, tau_interval
 from .scalars import CycloLaurent, UnitAngle, ZERO_ANGLE
 
 Gen = tuple[int, int]
@@ -47,44 +47,6 @@ class RelationPoly:
         return f"RelationPoly({len(self.terms)} terms)"
 
 
-class BiDegree:
-    """Left and right torus multidegrees of a product of generators."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Sequence[int], right: Sequence[int]) -> None:
-        self.left = tuple(int(x) for x in left)
-        self.right = tuple(int(x) for x in right)
-        if sum(self.left) != sum(self.right):
-            raise ValueError("left and right degrees have different total length")
-
-    @classmethod
-    def of_word(cls, n: int, word: Word) -> "BiDegree":
-        left = [0] * n
-        right = [0] * n
-        for i, j in word:
-            left[i - 1] += 1
-            right[j - 1] += 1
-        return cls(left, right)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiDegree) and (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
-
-def _angle_coeff(a: UnitAngle, doubled_q_exp: int = 0) -> CycloLaurent:
-    return CycloLaurent.from_angle(a, doubled_q_exp)
-
-
-def _tau_interval(p: ParamTuple, i: int, j: int) -> UnitAngle:
-    out = ZERO_ANGLE
-    for k in range(i, j):
-        out = out + p.tau.angle(k)
-    return out
-
-
 def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     """All defining relations, the quantum determinant relation last.
 
@@ -92,6 +54,7 @@ def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     of quantum SU(n).
     """
     n = p.n
+    tau = p.tau
     om = p.omega
     rels: list[RelationPoly] = []
     one = CycloLaurent.one()
@@ -99,13 +62,13 @@ def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for l in range(j + 1, n + 1):
-                coeff = _angle_coeff(-_tau_interval(p, j, l) - om.angle(j, l).scale(2), 2)
+                coeff = CycloLaurent.from_angle(-tau_interval(tau, j, l) - om.angle(j, l).scale(2), 2)
                 rels.append(RelationPoly([(one, ((i, j), (i, l))), (-coeff, ((i, l), (i, j)))]))
     # same column: v_ij v_kj = (prod tau_p, i<=p<k) q omega_ik^2 v_kj v_ij
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(i + 1, n + 1):
-                coeff = _angle_coeff(_tau_interval(p, i, k) + om.angle(i, k).scale(2), 2)
+                coeff = CycloLaurent.from_angle(tau_interval(tau, i, k) + om.angle(i, k).scale(2), 2)
                 rels.append(RelationPoly([(one, ((i, j), (k, j))), (-coeff, ((k, j), (i, j)))]))
     # crossing, i > k and j < l: v_ij v_kl = (tau products) omega_ik^2 conj(omega_jl)^2 v_kl v_ij
     for i in range(1, n + 1):
@@ -113,22 +76,21 @@ def generate_relations(p: ParamTuple) -> list[RelationPoly]:
             for j in range(1, n + 1):
                 for l in range(j + 1, n + 1):
                     angle = (
-                        -_tau_interval(p, k, i)
-                        - _tau_interval(p, j, l)
+                        -tau_interval(tau, k, i)
+                        - tau_interval(tau, j, l)
                         + om.angle(i, k).scale(2)
                         - om.angle(j, l).scale(2)
                     )
-                    rels.append(
-                        RelationPoly([(one, ((i, j), (k, l))), (-_angle_coeff(angle), ((k, l), (i, j)))])
-                    )
+                    coeff = CycloLaurent.from_angle(angle)
+                    rels.append(RelationPoly([(one, ((i, j), (k, l))), (-coeff, ((k, l), (i, j)))]))
     # crossing, i < k and j < l, with the (q - q^-1) term
     q_comm = CycloLaurent({(ZERO_ANGLE, 2): 1, (ZERO_ANGLE, -2): -1})
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
             for j in range(1, n + 1):
                 for l in range(j + 1, n + 1):
-                    c1 = _angle_coeff(_tau_interval(p, j, l) + om.angle(j, l).scale(2))
-                    c2 = _angle_coeff(_tau_interval(p, i, k) - om.angle(k, i).scale(2))
+                    c1 = CycloLaurent.from_angle(tau_interval(tau, j, l) + om.angle(j, l).scale(2))
+                    c2 = CycloLaurent.from_angle(tau_interval(tau, i, k) - om.angle(k, i).scale(2))
                     rels.append(
                         RelationPoly(
                             [
@@ -209,23 +171,6 @@ def torus_character_residue(rel: RelationPoly, n: int) -> dict[tuple[int, ...], 
         key = tuple(e - low for e in expo)
         acc[key] = acc.get(key, CycloLaurent.zero()) + coeff
     return {key: c for key, c in acc.items() if not c.is_zero}
-
-
-def twisted_product_coeff(om: SkewBicharacter, x: BiDegree, y: BiDegree) -> UnitAngle:
-    """The bilinear twisting cocycle on bidegrees.
-
-    For single generators it reduces to omega_{ik} - omega_{jl}.
-    """
-    if len(x.left) != om.n or len(y.left) != om.n:
-        raise RankMismatch("bidegree length does not match omega")
-    out = ZERO_ANGLE
-    for a in range(om.n):
-        for b in range(om.n):
-            if x.left[a] and y.left[b]:
-                out = out + om.angle(a + 1, b + 1).scale(x.left[a] * y.left[b])
-            if x.right[a] and y.right[b]:
-                out = out - om.angle(a + 1, b + 1).scale(x.right[a] * y.right[b])
-    return out
 
 
 def serialize(rels: Sequence[RelationPoly], fmt: str = "json") -> str:

@@ -8,7 +8,7 @@ stored doubled, so q^(1/2) has stored exponent 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 
 class NonSquareBase(ValueError):
@@ -146,9 +146,6 @@ class HalfLaurent:
                 out[e] = out.get(e, 0) + c1 * c2
         return HalfLaurent(out)
 
-    def scale(self, k: int) -> "HalfLaurent":
-        return HalfLaurent({e: k * c for e, c in self.terms.items()})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HalfLaurent) and self.terms == other.terms
 
@@ -167,17 +164,6 @@ class HalfLaurent:
             root = _sqrt_fraction(q0)
             return sum((c * root**e for e, c in self.terms.items()), Fraction(0))
         return sum((c * q0 ** (e // 2) for e, c in self.terms.items()), Fraction(0))
-
-    def monomials(self) -> Iterator[tuple[int, int]]:
-        """(doubled exponent, coefficient) pairs in increasing exponent order."""
-        return iter(sorted(self.terms.items()))
-
-    def to_json(self) -> list[list[int]]:
-        return [[c, e] for e, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "HalfLaurent":
-        return cls({e: c for c, e in data})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -222,10 +208,6 @@ class CycloLaurent:
     @classmethod
     def from_angle(cls, a: UnitAngle, doubled_exponent: int = 0, mult: int = 1) -> "CycloLaurent":
         return cls({(a, doubled_exponent): mult})
-
-    @classmethod
-    def from_half_laurent(cls, p: HalfLaurent) -> "CycloLaurent":
-        return cls({(ZERO_ANGLE, e): c for e, c in p.terms.items()})
 
     @property
     def is_zero(self) -> bool:

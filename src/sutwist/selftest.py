@@ -40,9 +40,8 @@ from .cohomology import (
 )
 from .lattice import TauVector, all_tau_vectors, descend_c_tau
 from .presentation import generate_relations, serialize, torus_character_residue
-from .scalars import HALF_ANGLE, ZERO_ANGLE, UnitAngle, quantum_integer
+from .scalars import HALF_ANGLE, ZERO_ANGLE, HalfLaurent, UnitAngle, quantum_integer
 from .spin import (
-    HalfLaurent,
     check_V_intertwiner,
     index_shift,
     pairing_gh,
@@ -134,8 +133,7 @@ def check_quantum_sign_law(scale: str = "full") -> CheckResult:
     for n in ranks:
         sign = (-1) ** ((n + 1) // 2)
         observed: dict[int, int] = {}
-        for term in pairing_gh_terms(n, "quantum"):
-            ((doubled, coeff),) = term.terms.items()
+        for doubled, coeff in pairing_gh_terms(n, "quantum"):
             if coeff != sign or doubled % 2 != 0:
                 ok = False
             observed[doubled // 2] = observed.get(doubled // 2, 0) + 1

@@ -3,20 +3,26 @@
 Everything is exact: generator matrices have integer entries and diagonal
 torus operators have entries q^(h/2) with h in {-1, 0, 1}.
 
+A vector in a tensor product of representations has one format, the flat
+`FlatVector`: a dict (basis tensor, doubled q-exponent) -> integer
+coefficient, so q^(1/2) is exponent 1 and a coefficient that is a Laurent
+polynomial in q^(1/2) spreads over several keys.  The intertwiner images
+`tilde_e`, the embedding vectors `embeddings_g_h` and the coproduct action all
+build and read that format; `pairing_gh` alone sums its terms into the
+Laurent polynomial it reports.
+
 There is one coproduct, `coproduct_moves`: the move table of a generator
 X_i, Y_i or K_i^(1/2) on a tensor product, which sends a basis tensor to its
 terms (new key, integer coefficient, shift of the doubled q-exponent).  X and
 Y act in one slot with K^(1/2) on every factor to its left and K^(-1/2) to
 its right, so the shift is the sum of the torus eigenvalues to the left minus
-the sum to the right (0 in classical mode).  Its consumers pick their
-coefficient map:
+the sum to the right (0 in classical mode).  Its consumers:
 
-- `check_V_intertwiner` keeps vectors flat, as dicts (key, doubled exponent)
-  -> int, and compares both sides of each equation as one difference dict;
-- `coproduct_action` regroups the same flat terms into a `TensorVector` over
-  Laurent polynomials in q^(1/2) (`HalfLaurent`);
+- `coproduct_action` applies it to a flat vector, and `check_V_intertwiner`
+  compares both sides of each equation as one flat difference;
 - `invariant_f` evaluates each term at a rational q0 as coefficient *
-  sqrt(q0)^shift.
+  sqrt(q0)^shift and solves for the invariant vector with
+  `smith.kernel_basis`.
 
 Subsets of {1, ..., n} are bitmasks (bit k-1 is the element k); the basis
 vector for a subset is the ascending wedge of its elements.
@@ -29,6 +35,7 @@ from math import gcd
 from typing import Callable, Iterable, Literal, Sequence
 
 from .scalars import HalfLaurent, _sqrt_fraction
+from .smith import kernel_basis
 
 Mode = Literal["classical", "quantum"]
 
@@ -127,14 +134,6 @@ def _hvals_from_weights(n: int, doubled: Sequence[Sequence[int]]) -> dict[int, l
         hvals[i] = [(w[i - 1] - w[i]) // 2 for w in doubled]
     hvals[n] = [(w[n - 2] + w[n - 1]) // 2 for w in doubled]
     return hvals
-
-
-def _as_int(p: HalfLaurent) -> int:
-    if not p.terms:
-        return 0
-    if set(p.terms) != {0}:
-        raise ArithmeticError(f"expected an integer constant, got {p!r}")
-    return p.terms[0]
 
 
 class Representation:
@@ -270,26 +269,6 @@ def build_spin_rep(n: int, mode: Mode, parity: Literal["odd", "even", "full"] = 
     return Representation(basis, x_ops, y_ops, mode)
 
 
-class TensorVector:
-    """A sparse vector in a tensor product of representations."""
-
-    __slots__ = ("factors", "entries")
-
-    def __init__(self, factors: Sequence[Representation], entries: dict[tuple[int, ...], HalfLaurent]) -> None:
-        self.factors = tuple(factors)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TensorVector) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"TensorVector({len(self.factors)} factors, {len(self.entries)} entries)"
-
-
 Move = tuple[tuple[int, ...], int, int]
 
 
@@ -332,34 +311,22 @@ def coproduct_moves(kind: str, i: int, reps: Sequence[Representation]) -> Callab
     return moves
 
 
-def _flatten(vec: TensorVector) -> FlatVector:
-    return {(key, e): c for key, coeff in vec.entries.items() for e, c in coeff.terms.items()}
+def coproduct_action(kind: str, i: int, reps: Sequence[Representation], vec: FlatVector) -> FlatVector:
+    """Apply the iterated coproduct of a generator to a flat tensor vector.
 
-
-def _act(kind: str, i: int, reps: Sequence[Representation], vec: FlatVector, out: FlatVector) -> None:
-    """Add the coproduct action of the generator on vec into out."""
-    moves = coproduct_moves(kind, i, reps)
-    for (key, e), c in vec.items():
-        for new_key, m, shift in moves(key):
-            k = (new_key, e + shift)
-            out[k] = out.get(k, 0) + m * c
-
-
-def coproduct_action(kind: str, i: int, reps: Sequence[Representation], vec: TensorVector) -> TensorVector:
-    """Apply the iterated coproduct of a generator to a tensor vector.
-
-    The terms of `coproduct_moves`, regrouped per basis tensor as Laurent
-    polynomials in q^(1/2).
+    Every term of `vec` goes through `coproduct_moves`.  The result holds no
+    zero coefficient, so the zero vector is the empty dict.
     """
     modes = {r.mode for r in reps}
     if len(modes) > 1:
         raise ModeMismatch(f"mixed modes {modes}")
-    flat: FlatVector = {}
-    _act(kind, i, reps, _flatten(vec), flat)
-    grouped: dict[tuple[int, ...], dict[int, int]] = {}
-    for (key, e), c in flat.items():
-        grouped.setdefault(key, {})[e] = c
-    return TensorVector(reps, {key: HalfLaurent(terms) for key, terms in grouped.items()})
+    moves = coproduct_moves(kind, i, reps)
+    out: FlatVector = {}
+    for (key, e), c in vec.items():
+        for new_key, m, shift in moves(key):
+            k = (new_key, e + shift)
+            out[k] = out.get(k, 0) + m * c
+    return {k: v for k, v in out.items() if v}
 
 
 def subset_elements(mask: int) -> list[int]:
@@ -376,16 +343,14 @@ def index_shift(n: int, i: int, mask: int) -> int:
     return base + sum(1 for k in elems if k < j) - (n - 1)
 
 
-def sigma_index(n: int, i: int, mask: int, mode: Mode) -> tuple[int, HalfLaurent]:
-    """The exponent I_i(X) and the coefficient (-1)^I or (-q)^I."""
+def sigma_index(n: int, i: int, mask: int, mode: Mode) -> tuple[int, int]:
+    """The coefficient (-1)^I or (-q)^I, I = I_i(X), as (doubled q-exponent, sign)."""
     expo = index_shift(n, i, mask)
     sign = -1 if expo % 2 else 1
-    if mode == "classical":
-        return expo, HalfLaurent.from_int(sign)
-    return expo, HalfLaurent({2 * expo: sign})
+    return (0 if mode == "classical" else 2 * expo), sign
 
 
-def tilde_e(n: int, i: int, plus_rep: Representation) -> TensorVector:
+def tilde_e(n: int, i: int, plus_rep: Representation) -> FlatVector:
     """The image of the vector-representation basis e_i inside U+ tensor U+.
 
     For i <= n the summation runs over pairs overlapping exactly in {i}; for
@@ -395,7 +360,7 @@ def tilde_e(n: int, i: int, plus_rep: Representation) -> TensorVector:
     mode = plus_rep.mode
     basis: SubsetBasis = plus_rep.basis
     full = (1 << n) - 1
-    entries: dict[tuple[int, int], HalfLaurent] = {}
+    out: FlatVector = {}
     if i <= n:
         bit = 1 << (i - 1)
         rest = full & ~bit
@@ -404,8 +369,8 @@ def tilde_e(n: int, i: int, plus_rep: Representation) -> TensorVector:
             if bin(x1).count("1") % 2 == 0:
                 continue
             x2 = (rest & ~sub) | bit
-            _, coeff = sigma_index(n, i, x1, mode)
-            entries[(basis.index[x1], basis.index[x2])] = coeff
+            e, sign = sigma_index(n, i, x1, mode)
+            out[((basis.index[x1], basis.index[x2]), e)] = sign
     else:
         j = i - n
         rest = full & ~(1 << (j - 1))
@@ -414,9 +379,9 @@ def tilde_e(n: int, i: int, plus_rep: Representation) -> TensorVector:
             if bin(sub).count("1") % 2 == 0:
                 continue
             x2 = rest & ~sub
-            _, coeff = sigma_index(n, i, sub, mode)
-            entries[(basis.index[sub], basis.index[x2])] = coeff.scale(outer)
-    return TensorVector((plus_rep, plus_rep), entries)
+            e, sign = sigma_index(n, i, sub, mode)
+            out[((basis.index[sub], basis.index[x2]), e)] = outer * sign
+    return out
 
 
 def _all_submasks(mask: int) -> Iterable[int]:
@@ -431,20 +396,28 @@ def _all_submasks(mask: int) -> Iterable[int]:
 def check_V_intertwiner(n: int, mode: Mode) -> bool:
     """Verify that e_i -> tilde_e_i intertwines every generator action exactly.
 
-    For each generator g and basis vector e_col of V, the coproduct of g on
-    tilde_e_col minus the images of g e_col must vanish; both sides go into
-    one flat difference dict over (basis tensor, doubled q-exponent).
+    Weights first: every term of tilde_e_col must lie in the torus eigenspace
+    of e_col, so the H_i eigenvalues over its basis tensor sum to h_i(e_col).
+    This reads the torus eigenvalues in both modes; classically K^(1/2) acts
+    as the identity, and the equations below never see them.  Then for each
+    generator g and basis vector e_col of V, the coproduct of g on tilde_e_col
+    minus the images of g e_col must vanish; both sides go into one flat
+    difference dict over (basis tensor, doubled q-exponent).
     """
     plus = build_spin_rep(n, mode, "odd")
-    vec = (build_vector_rep(n, mode),)
+    vector = build_vector_rep(n, mode)
     pair = (plus, plus)
-    images = [_flatten(tilde_e(n, idx + 1, plus)) for idx in range(2 * n)]
+    images = [tilde_e(n, idx + 1, plus) for idx in range(2 * n)]
     for i in range(1, n + 1):
+        h_plus, h_vec = plus.hvals[i], vector.hvals[i]
+        for col, image in enumerate(images):
+            if any(h_plus[a] + h_plus[b] != h_vec[col] for (a, b), _ in image):
+                return False
         for kind in ("X", "Y", "K"):
+            vec_moves = coproduct_moves(kind, i, (vector,))
             for col in range(2 * n):
-                diff: FlatVector = {}
-                _act(kind, i, pair, images[col], diff)
-                for (row,), c, shift in coproduct_moves(kind, i, vec)((col,)):
+                diff = coproduct_action(kind, i, pair, images[col])
+                for (row,), c, shift in vec_moves((col,)):
                     for (key, e), v in images[row].items():
                         k = (key, e + shift)
                         diff[k] = diff.get(k, 0) - c * v
@@ -453,7 +426,7 @@ def check_V_intertwiner(n: int, mode: Mode) -> bool:
     return True
 
 
-def embeddings_g_h(n: int, mode: Mode) -> tuple[TensorVector, TensorVector]:
+def embeddings_g_h(n: int, mode: Mode) -> tuple[FlatVector, FlatVector]:
     """The two lowest-weight embedding vectors in the triple tensor power of U+.
 
     g sums e_i tensor tilde_e_{n+i} with weight q^i; h sums tilde_e_{n+j}
@@ -461,78 +434,48 @@ def embeddings_g_h(n: int, mode: Mode) -> tuple[TensorVector, TensorVector]:
     """
     plus = build_spin_rep(n, mode, "odd")
     basis: SubsetBasis = plus.basis
-    triple = (plus, plus, plus)
-    g_entries: dict[tuple[int, int, int], HalfLaurent] = {}
-    h_entries: dict[tuple[int, int, int], HalfLaurent] = {}
+    g: FlatVector = {}
+    h: FlatVector = {}
     for i in range(1, n + 1):
         singleton = basis.index[1 << (i - 1)]
-        tail = tilde_e(n, n + i, plus)
-        wg = HalfLaurent.one() if mode == "classical" else HalfLaurent({2 * i: 1})
-        wh = HalfLaurent.one() if mode == "classical" else HalfLaurent({-2 * i: 1})
-        for (a, b), c in tail.entries.items():
-            g_key = (singleton, a, b)
-            g_entries[g_key] = g_entries.get(g_key, HalfLaurent.zero()) + wg * c
-            h_key = (a, b, singleton)
-            h_entries[h_key] = h_entries.get(h_key, HalfLaurent.zero()) + wh * c
-    return TensorVector(triple, g_entries), TensorVector(triple, h_entries)
+        weight = 0 if mode == "classical" else 2 * i
+        for ((a, b), e), c in tilde_e(n, n + i, plus).items():
+            g_key = ((singleton, a, b), e + weight)
+            g[g_key] = g.get(g_key, 0) + c
+            h_key = ((a, b, singleton), e - weight)
+            h[h_key] = h.get(h_key, 0) + c
+    return g, h
 
 
-def pairing_gh_terms(n: int, mode: Mode) -> list[HalfLaurent]:
-    """The individual monomials of the g-h pairing, one per overlap."""
+def pairing_gh_terms(n: int, mode: Mode) -> list[tuple[int, int]]:
+    """The monomials of the g-h pairing as (doubled q-exponent, coefficient).
+
+    One monomial per pair of terms of g and h on the same basis tensor.
+    """
     g, h = embeddings_g_h(n, mode)
-    return [v * h.entries[k] for k, v in g.entries.items() if k in h.entries]
+    h_terms: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for (key, e), c in h.items():
+        h_terms.setdefault(key, []).append((e, c))
+    return [(e1 + e2, c1 * c2) for (key, e1), c1 in g.items() for e2, c2 in h_terms.get(key, ())]
 
 
 def pairing_gh(n: int, mode: Mode) -> HalfLaurent:
     """The inner product of the two embedding vectors."""
-    total = HalfLaurent.zero()
-    for term in pairing_gh_terms(n, mode):
-        total = total + term
-    return total
+    total: dict[int, int] = {}
+    for e, c in pairing_gh_terms(n, mode):
+        total[e] = total.get(e, 0) + c
+    return HalfLaurent(total)
 
 
-def _kernel_of_columns(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a matrix given as a list of rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        basis.append(vec)
-    return basis
-
-
-def invariant_f(n: int, q0: Fraction) -> TensorVector:
+def invariant_f(n: int, q0: Fraction) -> dict[tuple[int, int, int, int], int]:
     """The invariant vector of U+ tensor V tensor U+ pushed into the 4th tensor power of U+.
 
     Solves for the joint kernel of all coproduct raising and lowering actions
     at the exact rational q0 (restricted to the torus-neutral subspace, which
     contains any such kernel), checks it is one-dimensional, and applies the
-    V -> U+ tensor U+ intertwiner to the middle slot.  The result is not
-    normalized.
+    V -> U+ tensor U+ intertwiner, evaluated at q0, to the middle slot.  The
+    result maps basis tensors to integers: it is scaled to clear denominators
+    and is not normalized otherwise.
     """
     if n != 3:
         raise ValueError("the invariant-vector computation is implemented for n = 3")
@@ -569,21 +512,20 @@ def invariant_f(n: int, q0: Fraction) -> TensorVector:
                         row = images[new_key] = [Fraction(0)] * len(keys)
                     row[ci] += c * powers[shift]
             rows.extend(r for r in images.values() if any(r))
-    kernel = _kernel_of_columns(rows)
+    kernel = kernel_basis(rows)
     if len(kernel) != 1:
         raise MultiplicityNotOne(f"invariant space has dimension {len(kernel)}")
     coords = kernel[0]
 
     # push the middle V slot through the intertwiner, evaluated at q0
-    tilde = {idx: tilde_e(n, idx + 1, plus) for idx in range(2 * n)}
+    tilde = [tilde_e(n, idx + 1, plus) for idx in range(2 * n)]
     raw: dict[tuple[int, int, int, int], Fraction] = {}
-    for key, c in zip(keys, coords):
+    for (a, v_idx, d), c in zip(keys, coords):
         if c == 0:
             continue
-        a, v_idx, d = key
-        for (x, y), t_coeff in tilde[v_idx].entries.items():
+        for ((x, y), e), t in tilde[v_idx].items():
             k4 = (a, x, y, d)
-            raw[k4] = raw.get(k4, Fraction(0)) + c * t_coeff.evaluate(q0)
+            raw[k4] = raw.get(k4, Fraction(0)) + c * t * sq**e
     raw = {k: v for k, v in raw.items() if v}
     if not raw:
         raise MultiplicityNotOne("invariant vector vanished after the intertwiner")
@@ -591,8 +533,7 @@ def invariant_f(n: int, q0: Fraction) -> TensorVector:
     scale = 1
     for v in raw.values():
         scale = scale * v.denominator // gcd(scale, v.denominator)
-    quad = (plus, plus, plus, plus)
-    return TensorVector(quad, {k: HalfLaurent.from_int(int(v * scale)) for k, v in raw.items()})
+    return {k: int(v * scale) for k, v in raw.items()}
 
 
 def theorem_a1_check(n: int, q0: Fraction) -> bool:
@@ -602,7 +543,7 @@ def theorem_a1_check(n: int, q0: Fraction) -> bool:
     invariant vector against a shifted one; returns True when that matrix is a
     nonzero multiple of the identity.
     """
-    f = {k: _as_int(v) for k, v in invariant_f(n, Fraction(q0)).entries.items()}
+    f = invariant_f(n, Fraction(q0))
     dim = len(build_spin_rep(n, "quantum", "odd").basis)
     m = [[0] * dim for _ in range(dim)]
     tails: dict[tuple[int, int, int], list[tuple[int, int]]] = {}

@@ -12,7 +12,6 @@ from sutwist.classification import (
     SkewBicharacter,
     canonical_form,
     central_invariant,
-    h2_equal,
     is_isomorphic,
     mirror_invariant,
     pair_invariant,
@@ -162,23 +161,6 @@ class TestCanonicalForm:
         cf = canonical_form(p)
         assert cf.tau.angle(1) == central_invariant(p.tau)
         assert all(cf.tau.angle(i) == ZERO_ANGLE for i in range(2, 3))
-
-
-class TestH2Equal:
-    def test_reflexive(self):
-        om = SkewBicharacter.from_upper_block(3, {(1, 2): UnitAngle(Fraction(1, 6))})
-        assert h2_equal(om, om)
-
-    def test_half_angle_twist_invisible(self):
-        zero = SkewBicharacter.from_upper_block(3, {})
-        half = [[ZERO_ANGLE if i == j else HALF_ANGLE for j in range(3)] for i in range(3)]
-        halves = SkewBicharacter(half)
-        assert h2_equal(zero, halves)
-
-    def test_quarter_angle_visible(self):
-        zero = SkewBicharacter.from_upper_block(3, {})
-        quarter = SkewBicharacter.from_upper_block(3, {(1, 2): UnitAngle(Fraction(1, 4))})
-        assert not h2_equal(zero, quarter)
 
 
 class TestTwistCompose:

@@ -6,17 +6,15 @@ from math import comb, factorial
 
 import pytest
 
-from sutwist.classification import ParamTuple, RankMismatch, SkewBicharacter
+from sutwist.classification import ParamTuple, SkewBicharacter
 from sutwist.lattice import TauVector
 from sutwist.presentation import (
-    BiDegree,
     RelationPoly,
     generate_relations,
     parse_relations,
     quantum_det_relation,
     serialize,
     torus_character_residue,
-    twisted_product_coeff,
 )
 from sutwist.scalars import CycloLaurent, UnitAngle, ZERO_ANGLE
 
@@ -129,45 +127,6 @@ class TestTorusResidue:
     def test_unbalanced_diagonal_term_detected(self):
         bad = RelationPoly([(ONE, ((1, 1), (2, 2))), (qpow(2, -1), ((1, 2), (2, 1)))])
         assert torus_character_residue(bad, 2) != {}
-
-
-class TestTwistedProduct:
-    def test_single_generator_rule(self):
-        om = SkewBicharacter.from_upper_block(3, {(1, 2): UnitAngle(Fraction(1, 6))})
-        n = om.n
-        for i, j, k, l in ((1, 2, 2, 1), (1, 1, 2, 3), (3, 2, 1, 1)):
-            x = BiDegree.of_word(n, ((i, j),))
-            y = BiDegree.of_word(n, ((k, l),))
-            assert twisted_product_coeff(om, x, y) == om.angle(i, k) + (-om.angle(j, l))
-
-    def test_zero_twist(self):
-        om = SkewBicharacter.from_upper_block(3, {})
-        x = BiDegree.of_word(3, ((1, 2), (2, 3)))
-        y = BiDegree.of_word(3, ((3, 1),))
-        assert twisted_product_coeff(om, x, y) == ZERO_ANGLE
-
-    def test_associativity_defect_identity(self):
-        om = SkewBicharacter.from_upper_block(3, {(1, 2): UnitAngle(Fraction(5, 12))})
-        rng = random.Random(17)
-        words = [
-            tuple((rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 3)))
-            for _ in range(3)
-        ]
-        x, y, z = (BiDegree.of_word(3, w) for w in words)
-        xy = BiDegree(
-            [a + b for a, b in zip(x.left, y.left)], [a + b for a, b in zip(x.right, y.right)]
-        )
-        yz = BiDegree(
-            [a + b for a, b in zip(y.left, z.left)], [a + b for a, b in zip(y.right, z.right)]
-        )
-        lhs = twisted_product_coeff(om, x, y) + twisted_product_coeff(om, xy, z)
-        rhs = twisted_product_coeff(om, y, z) + twisted_product_coeff(om, x, yz)
-        assert lhs == rhs
-
-    def test_rank_validation(self):
-        om = SkewBicharacter.from_upper_block(3, {})
-        with pytest.raises(RankMismatch):
-            twisted_product_coeff(om, BiDegree.of_word(2, ((1, 1),)), BiDegree.of_word(2, ((1, 1),)))
 
 
 class TestSerialization:
