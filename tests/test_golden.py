@@ -18,11 +18,19 @@ on; at n = 2 omega is forced to vanish), and `selftest --scale quick --report
 json`.  Their parameter files are committed next to them
 (`*-params.json`), so the outputs can be reproduced from the shell.
 
+`present` at n = 6 is kept whole in both formats, on a tuple whose tau
+denominators (6) differ from its omega denominators (12, 5, 8, ...), so the
+common modulus of the relation coefficients is larger than either.  At n = 7
+(5040 determinant terms, 0.54 MB in JSON and 0.61 MB in LaTeX) only the byte
+length and SHA-256 of both outputs are kept, in `present-n7-digests.json`.
+These were captured from the Fraction-backed presentation code.
+
 To rewrite them after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -77,21 +85,41 @@ def _angles(*texts: str) -> list[UnitAngle]:
 
 def present_param(n: int) -> ParamTuple:
     """A fixed tuple with non-trivial tau and, for n >= 3, non-trivial omega."""
-    tau = {2: ("1/2",), 3: ("1/3", "2/3"), 4: ("1/4", "1/2", "3/4"), 5: ("1/5", "0", "3/5", "2/5")}[n]
+    tau = {
+        2: ("1/2",),
+        3: ("1/3", "2/3"),
+        4: ("1/4", "1/2", "3/4"),
+        5: ("1/5", "0", "3/5", "2/5"),
+        6: ("1/6", "1/2", "0", "2/3", "5/6"),
+        7: ("1/7", "3/7", "0", "5/7", "2/7", "6/7"),
+    }[n]
     upper = {
         2: {},
         3: {(1, 2): "1/6"},
         4: {(1, 2): "1/8", (1, 3): "1/3", (2, 3): "5/12"},
         5: {(1, 2): "1/10", (1, 3): "1/4", (1, 4): "0", (2, 3): "2/3", (2, 4): "7/12", (3, 4): "1/6"},
+        6: {
+            (1, 2): "1/12", (1, 3): "2/5", (1, 4): "3/8", (1, 5): "0", (2, 3): "5/12",
+            (2, 4): "1/5", (2, 5): "7/8", (3, 4): "1/3", (3, 5): "3/10", (4, 5): "5/24",
+        },
+        7: {
+            (1, 2): "1/14", (1, 3): "2/9", (1, 4): "1/4", (1, 5): "0", (1, 6): "3/7",
+            (2, 3): "5/12", (2, 4): "1/5", (2, 5): "7/8", (2, 6): "1/2", (3, 4): "1/3",
+            (3, 5): "3/10", (3, 6): "4/9", (4, 5): "5/24", (4, 6): "0", (5, 6): "2/3",
+        },
     }[n]
     omega = SkewBicharacter.from_upper_block(n, {k: UnitAngle(Fraction(v)) for k, v in upper.items()})
     return ParamTuple(n, Fraction(2, 3), TauVector(n, _angles(*tau)), omega)
 
 
-PRESENT_RANKS = (2, 3, 4, 5)
+PRESENT_RANKS = (2, 3, 4, 5, 6)
+DIGEST_RANK = 7
 PARAM_FILES = {
     "grid-params.json": lambda: [p.to_json() for p in _grid_params()],
-    **{f"present-n{n}-params.json": (lambda n=n: present_param(n).to_json()) for n in PRESENT_RANKS},
+    **{
+        f"present-n{n}-params.json": (lambda n=n: present_param(n).to_json())
+        for n in PRESENT_RANKS + (DIGEST_RANK,)
+    },
 }
 
 
@@ -99,24 +127,37 @@ def param_text(name: str) -> str:
     return json.dumps(PARAM_FILES[name](), indent=1, sort_keys=True) + "\n"
 
 
+def present_cases(n: int) -> dict[str, tuple[str, ...]]:
+    return {
+        f"present-n{n}.{fmt}": ("present", "--param", f"present-n{n}-params.json", "--format", fmt)
+        for fmt in ("json", "latex")
+    }
+
+
 CLI_CASES = {
     **{
         f"{command}-grid.text": (command, "--param", "grid-params.json", "--report", "text")
         for command in ("classify", "canonical")
     },
-    **{
-        f"present-n{n}.{fmt}": ("present", "--param", f"present-n{n}-params.json", "--format", fmt)
-        for n in PRESENT_RANKS
-        for fmt in ("json", "latex")
-    },
+    **{name: args for n in PRESENT_RANKS for name, args in present_cases(n).items()},
     "selftest-quick.json": ("selftest", "--scale", "quick", "--report", "json"),
 }
+DIGEST_CASES = present_cases(DIGEST_RANK)
+DIGESTS = f"present-n{DIGEST_RANK}-digests.json"
 
 
-def cli_case_stdout(name: str) -> str:
+def cli_case_stdout(args: tuple[str, ...]) -> str:
     """Run a CLI case, reading its parameter file from the golden directory."""
-    args = CLI_CASES[name]
     return cli_stdout(*(str(GOLDEN / a) if a in PARAM_FILES else a for a in args))
+
+
+def digest_text() -> str:
+    """Byte length and SHA-256 of each output too large to keep whole."""
+    entries = {}
+    for name, args in DIGEST_CASES.items():
+        data = cli_case_stdout(args).encode()
+        entries[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
 
 
 def cochain_lines() -> str:
@@ -144,7 +185,8 @@ def expected_files() -> dict[str, str]:
     files = {f"cohomology-n{n}.json": cohomology_stdout(n) for n in RANKS}
     files["cochains.jsonl"] = cochain_lines()
     files.update({name: spin_verify_stdout(args) for name, args in SPIN_CASES.items()})
-    files.update({name: cli_case_stdout(name) for name in CLI_CASES})
+    files.update({name: cli_case_stdout(args) for name, args in CLI_CASES.items()})
+    files[DIGESTS] = digest_text()
     return files
 
 
@@ -169,7 +211,11 @@ def test_param_file(name):
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output(name):
-    assert cli_case_stdout(name).encode() == (GOLDEN / name).read_bytes()
+    assert cli_case_stdout(CLI_CASES[name]).encode() == (GOLDEN / name).read_bytes()
+
+
+def test_present_digests():
+    assert digest_text().encode() == (GOLDEN / DIGESTS).read_bytes()
 
 
 if __name__ == "__main__":
