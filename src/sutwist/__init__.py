@@ -19,6 +19,7 @@ from .classification import (
     canonical_form,
     central_invariant,
     is_isomorphic,
+    isomorphism_matrix,
     mirror_invariant,
     pair_invariant,
     theta_transform,
@@ -39,6 +40,7 @@ __all__ = [
     "c_tau_eval",
     "descend_c_tau",
     "is_isomorphic",
+    "isomorphism_matrix",
     "mirror_invariant",
     "pair_invariant",
     "quantum_integer",

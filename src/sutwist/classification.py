@@ -9,8 +9,10 @@ The mirror case composes the second tuple with the order-2 diagram symmetry.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .lattice import TauVector
 from .scalars import UnitAngle, ZERO_ANGLE
@@ -36,17 +38,18 @@ class SkewBicharacter:
         self.angles = tuple(tuple(row) for row in angles)
         if any(len(row) != self.n for row in self.angles):
             raise ValueError("matrix is not square")
+        # the checks run on the integers L*angle, L the lcm of all denominators
+        values = [[a.value for a in row] for row in self.angles]
+        L = lcm(1, *(v.denominator for row in values for v in row))
+        m = [[v.numerator * (L // v.denominator) for v in row] for row in values]
         for i in range(self.n):
-            if not self.angles[i][i].is_zero:
+            if m[i][i]:
                 raise ValueError(f"diagonal entry ({i}, {i}) is nonzero")
             for j in range(self.n):
-                if self.angles[j][i] != -self.angles[i][j]:
+                if (m[j][i] + m[i][j]) % L:
                     raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) are not opposite")
         for j in range(self.n):
-            col = ZERO_ANGLE
-            for i in range(self.n):
-                col = col + self.angles[i][j]
-            if not col.is_zero:
+            if sum(row[j] for row in m) % L:
                 raise ValueError(f"column {j} does not sum to zero")
 
     @classmethod
@@ -87,6 +90,22 @@ class SkewBicharacter:
         return f"SkewBicharacter(n={self.n})"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(value: object, what: str) -> Fraction:
+    """An exact rational from a JSON int or a "p" / "p/q" string; floats and bools are refused."""
+    if type(value) is int or (isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an integer or a rational string like \"1/3\", got {value!r}")
+
+
+def _list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 class ParamTuple:
     """The full classification datum (n, q, tau, omega)."""
 
@@ -124,10 +143,14 @@ class ParamTuple:
 
     @classmethod
     def from_json(cls, data: dict) -> "ParamTuple":
-        n = int(data["n"])
-        q = Fraction(data["q"])
-        tau = TauVector(n, [UnitAngle.parse(s) for s in data["tau"]])
-        omega = SkewBicharacter([[UnitAngle.parse(s) for s in row] for row in data["omega"]])
+        """Read `to_json` output: n an integer; q, tau and omega entries integers or "p/q" strings."""
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        q = _rational(data["q"], "q")
+        tau = TauVector(n, [UnitAngle(_rational(s, "tau entry")) for s in _list(data["tau"], "tau")])
+        rows = [_list(row, "omega row") for row in _list(data["omega"], "omega")]
+        omega = SkewBicharacter([[UnitAngle(_rational(s, "omega entry")) for s in row] for row in rows])
         return cls(n, q, tau, omega)
 
     def __repr__(self) -> str:
@@ -189,20 +212,42 @@ def theta_transform(p: ParamTuple) -> ParamTuple:
     return ParamTuple(n, p.q, tau, omega)
 
 
-def is_isomorphic(p1: ParamTuple, p2: ParamTuple) -> IsoCase:
-    """Decide isomorphism; the direct case wins when both cases hold."""
-    if p1.n != p2.n:
-        raise RankMismatch(f"n={p1.n} vs n={p2.n}")
-    if p1.q != p2.q:
+class Invariants(NamedTuple):
+    """What the decision procedure compares, computed once per tuple."""
+
+    n: int
+    q: Fraction
+    central: UnitAngle
+    direct: Matrix
+    mirror: Matrix
+
+
+def invariants(p: ParamTuple) -> Invariants:
+    return Invariants(p.n, p.q, central_invariant(p.tau), pair_invariant(p), mirror_invariant(p))
+
+
+def _decide(a: Invariants, b: Invariants) -> IsoCase:
+    """The decision rule; the direct case wins when both cases hold."""
+    if a.n != b.n:
+        raise RankMismatch(f"n={a.n} vs n={b.n}")
+    if a.q != b.q or a.central != b.central:
         return IsoCase.NO
-    if central_invariant(p1.tau) != central_invariant(p2.tau):
-        return IsoCase.NO
-    m1 = pair_invariant(p1)
-    if m1 == pair_invariant(p2):
+    if a.direct == b.direct:
         return IsoCase.DIRECT
-    if m1 == mirror_invariant(p2):
+    if a.direct == b.mirror:
         return IsoCase.MIRROR
     return IsoCase.NO
+
+
+def is_isomorphic(p1: ParamTuple, p2: ParamTuple) -> IsoCase:
+    """Decide isomorphism; the direct case wins when both cases hold."""
+    return _decide(invariants(p1), invariants(p2))
+
+
+def isomorphism_matrix(params: Sequence[ParamTuple]) -> list[list[IsoCase]]:
+    """`is_isomorphic` on every ordered pair, with each tuple's invariants computed once."""
+    invs = [invariants(p) for p in params]
+    return [[_decide(a, b) for b in invs] for a in invs]
 
 
 def twist_compose(p: ParamTuple, extra: SkewBicharacter) -> ParamTuple:
@@ -227,11 +272,9 @@ def canonical_form(p: ParamTuple) -> ParamTuple:
     smaller of the two invariant matrices of p.
     """
     n = p.n
-    central = central_invariant(p.tau)
-    tau = TauVector(n, (central,) + (ZERO_ANGLE,) * (n - 2))
-    m_direct = pair_invariant(p)
-    m_mirror = mirror_invariant(p)
-    target = m_direct if _lex_key(m_direct) <= _lex_key(m_mirror) else m_mirror
+    inv = invariants(p)
+    tau = TauVector(n, (inv.central,) + (ZERO_ANGLE,) * (n - 2))
+    target = inv.direct if _lex_key(inv.direct) <= _lex_key(inv.mirror) else inv.mirror
     upper = {}
     for i in range(1, n):
         for j in range(i + 1, n):

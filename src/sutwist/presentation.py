@@ -4,15 +4,33 @@ Relations are emitted in sum-to-zero form: a relation is a list of
 (coefficient, word) terms, where words are sequences of generator indices
 (i, j) for v_{ij} and coefficients are exact root-of-unity times q-power sums.
 The quantum determinant relation stores its constant -1 as an empty-word term.
+
+Every coefficient angle is computed as an integer residue.  Let L be the lcm
+of the denominators of all tau_k and omega_ij of the tuple; then L*tau_k and
+L*omega_ij are integers, and every angle below is an integer combination of
+them, reduced mod L.  With P[j] = L*(tau_1 + ... + tau_{j-1}) the prefix sums,
+a tau interval tau_i + ... + tau_{j-1} is P[j] - P[i].  The determinant term
+of a permutation sigma has q-exponent inv(sigma), sign (-1)^inv(sigma) and
+angle
+
+    sum_k (k-1) (P[sigma_k] - P[k])  -  2 sum omega_ij over i < j with j before i in sigma,
+
+which is its tau exponent vector applied to tau, plus the omega sum over the
+permuted index sequence minus the one over 1..n.  One pass over the pairs of
+sigma gives the omega sum and inv(sigma) together.  A residue becomes a
+`UnitAngle` only when an output `CycloLaurent` is built, once per distinct
+residue and call (`_Residues.coeff`), so no Fraction arithmetic runs per term.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from fractions import Fraction
+from itertools import accumulate, permutations
+from math import lcm
 from typing import Iterable, Sequence
 
-from .classification import ParamTuple, SkewBicharacter, tau_interval
+from .classification import ParamTuple
 from .scalars import CycloLaurent, UnitAngle, ZERO_ANGLE
 
 Gen = tuple[int, int]
@@ -28,7 +46,8 @@ class RelationPoly:
         merged: dict[Word, CycloLaurent] = {}
         for coeff, word in terms:
             word = tuple((int(i), int(j)) for i, j in word)
-            merged[word] = merged.get(word, CycloLaurent.zero()) + coeff
+            prev = merged.get(word)
+            merged[word] = coeff if prev is None else prev + coeff
         self.terms = tuple(
             sorted(((c, w) for w, c in merged.items() if not c.is_zero), key=lambda t: t[1])
         )
@@ -47,6 +66,46 @@ class RelationPoly:
         return f"RelationPoly({len(self.terms)} terms)"
 
 
+class _Residues:
+    """The tau and omega angles of one tuple as integers mod their common modulus L.
+
+    `prefix[j]` = L*(tau_1 + ... + tau_{j-1}) and `omega[i][j]` = L*omega_ij,
+    both 1-indexed (index 0 is padding).
+    """
+
+    __slots__ = ("modulus", "prefix", "omega", "_angles", "_coeffs")
+
+    def __init__(self, p: ParamTuple) -> None:
+        tau = [a.value for a in p.tau.entries]
+        rows = [[a.value for a in row] for row in p.omega.angles]
+        L = lcm(*(v.denominator for v in tau), *(v.denominator for row in rows for v in row))
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (L // v.denominator)
+
+        self.modulus = L
+        self.prefix = [0, *accumulate(map(scaled, tau), initial=0)]
+        self.omega = [[0] * (p.n + 1)] + [[0, *map(scaled, row)] for row in rows]
+        self._angles: dict[int, UnitAngle] = {}
+        self._coeffs: dict[tuple[int, int, int], CycloLaurent] = {}
+
+    def angle(self, r: int) -> UnitAngle:
+        """The angle r / L, made once per residue."""
+        r %= self.modulus
+        a = self._angles.get(r)
+        if a is None:
+            a = self._angles[r] = UnitAngle(Fraction(r, self.modulus))
+        return a
+
+    def coeff(self, r: int, doubled_exponent: int = 0, mult: int = 1) -> CycloLaurent:
+        """mult * e(r / L) * q^(doubled_exponent / 2), one object per distinct term."""
+        key = (r % self.modulus, doubled_exponent, mult)
+        c = self._coeffs.get(key)
+        if c is None:
+            c = self._coeffs[key] = CycloLaurent.from_angle(self.angle(r), doubled_exponent, mult)
+        return c
+
+
 def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     """All defining relations, the quantum determinant relation last.
 
@@ -54,101 +113,71 @@ def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     of quantum SU(n).
     """
     n = p.n
-    tau = p.tau
-    om = p.omega
+    res = _Residues(p)
+    P, w, coeff = res.prefix, res.omega, res.coeff
     rels: list[RelationPoly] = []
     one = CycloLaurent.one()
     # same row: v_ij v_il = (prod tau_p^-1, j<=p<l) q conj(omega_jl)^2 v_il v_ij
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for l in range(j + 1, n + 1):
-                coeff = CycloLaurent.from_angle(-tau_interval(tau, j, l) - om.angle(j, l).scale(2), 2)
-                rels.append(RelationPoly([(one, ((i, j), (i, l))), (-coeff, ((i, l), (i, j)))]))
+                c = coeff(P[j] - P[l] - 2 * w[j][l], 2, -1)
+                rels.append(RelationPoly([(one, ((i, j), (i, l))), (c, ((i, l), (i, j)))]))
     # same column: v_ij v_kj = (prod tau_p, i<=p<k) q omega_ik^2 v_kj v_ij
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(i + 1, n + 1):
-                coeff = CycloLaurent.from_angle(tau_interval(tau, i, k) + om.angle(i, k).scale(2), 2)
-                rels.append(RelationPoly([(one, ((i, j), (k, j))), (-coeff, ((k, j), (i, j)))]))
+                c = coeff(P[k] - P[i] + 2 * w[i][k], 2, -1)
+                rels.append(RelationPoly([(one, ((i, j), (k, j))), (c, ((k, j), (i, j)))]))
     # crossing, i > k and j < l: v_ij v_kl = (tau products) omega_ik^2 conj(omega_jl)^2 v_kl v_ij
     for i in range(1, n + 1):
         for k in range(1, i):
             for j in range(1, n + 1):
                 for l in range(j + 1, n + 1):
-                    angle = (
-                        -tau_interval(tau, k, i)
-                        - tau_interval(tau, j, l)
-                        + om.angle(i, k).scale(2)
-                        - om.angle(j, l).scale(2)
-                    )
-                    coeff = CycloLaurent.from_angle(angle)
-                    rels.append(RelationPoly([(one, ((i, j), (k, l))), (-coeff, ((k, l), (i, j)))]))
+                    c = coeff(P[k] - P[i] + P[j] - P[l] + 2 * w[i][k] - 2 * w[j][l], 0, -1)
+                    rels.append(RelationPoly([(one, ((i, j), (k, l))), (c, ((k, l), (i, j)))]))
     # crossing, i < k and j < l, with the (q - q^-1) term
-    q_comm = CycloLaurent({(ZERO_ANGLE, 2): 1, (ZERO_ANGLE, -2): -1})
+    minus_q_comm = CycloLaurent({(ZERO_ANGLE, 2): -1, (ZERO_ANGLE, -2): 1})
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
             for j in range(1, n + 1):
                 for l in range(j + 1, n + 1):
-                    c1 = CycloLaurent.from_angle(tau_interval(tau, j, l) + om.angle(j, l).scale(2))
-                    c2 = CycloLaurent.from_angle(tau_interval(tau, i, k) - om.angle(k, i).scale(2))
+                    c1 = coeff(P[l] - P[j] + 2 * w[j][l])
+                    c2 = coeff(P[k] - P[i] - 2 * w[k][i], 0, -1)
                     rels.append(
                         RelationPoly(
-                            [
-                                (c1, ((i, j), (k, l))),
-                                (-c2, ((k, l), (i, j))),
-                                (-q_comm, ((i, l), (k, j))),
-                            ]
+                            [(c1, ((i, j), (k, l))), (c2, ((k, l), (i, j))), (minus_q_comm, ((i, l), (k, j)))]
                         )
                     )
     rels.append(quantum_det_relation(p))
     return rels
 
 
-def _multi_index(n: int, sigma: Sequence[int]) -> list[int]:
-    """The tau exponent vector of a permutation in the determinant relation."""
-    m = [0] * (n - 1)
-    for k in range(2, n + 1):
-        j = sigma[k - 1]
-        for i in range(1, n):
-            if k <= i < j:
-                m[i - 1] += k - 1
-            elif j <= i < k:
-                m[i - 1] -= k - 1
-    return m
-
-
-def _inversions(sigma: Sequence[int]) -> int:
-    return sum(
-        1 for a in range(len(sigma)) for b in range(a + 1, len(sigma)) if sigma[a] > sigma[b]
-    )
-
-
-def _omega_of_sequence(om: SkewBicharacter, seq: Sequence[int]) -> UnitAngle:
-    out = ZERO_ANGLE
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            out = out + om.angle(seq[a], seq[b])
-    return out
-
-
 def quantum_det_relation(p: ParamTuple) -> RelationPoly:
     """The quantum determinant relation, moved to sum-to-zero form.
 
     sum over permutations of tau^m(sigma) * (-q)^inv(sigma) * conj(omega)(1..n)
-    * omega(sigma(1..n)) * v_{1 sigma(1)} ... v_{n sigma(n)}, minus 1.
+    * omega(sigma(1..n)) * v_{1 sigma(1)} ... v_{n sigma(n)}, minus 1; the angle
+    is computed as a residue by the identity in the module docstring.
     """
     n = p.n
-    base = -_omega_of_sequence(p.omega, range(1, n + 1))
+    res = _Residues(p)
+    P = res.prefix
+    w2 = [[2 * x for x in row] for row in res.omega]
+    rows = range(1, n + 1)
+    base = -sum((k - 1) * P[k] for k in rows)
     terms: list[tuple[CycloLaurent, Word]] = []
-    for sigma in permutations(range(1, n + 1)):
-        m = _multi_index(n, sigma)
-        angle = base + _omega_of_sequence(p.omega, sigma)
-        for i in range(1, n):
-            angle = angle + p.tau.angle(i).scale(m[i - 1])
-        inv = _inversions(sigma)
-        coeff = CycloLaurent({(angle, 2 * inv): -1 if inv % 2 else 1})
-        word = tuple((row, sigma[row - 1]) for row in range(1, n + 1))
-        terms.append((coeff, word))
+    for sigma in permutations(rows):
+        r = base
+        inv = 0
+        for b in range(1, n):  # sigma[b] sits in row b + 1
+            v = sigma[b]
+            r += b * P[v]
+            for u in sigma[:b]:
+                if u > v:  # v < u with u first: add -2 omega_vu = 2 omega_uv
+                    r += w2[u][v]
+                    inv += 1
+        terms.append((res.coeff(r, 2 * inv, -1 if inv % 2 else 1), tuple(zip(rows, sigma))))
     terms.append((-CycloLaurent.one(), ()))
     return RelationPoly(terms)
 

@@ -21,8 +21,9 @@ class UnitAngle:
     __slots__ = ("value",)
 
     def __init__(self, value) -> None:
-        v = Fraction(value)
-        self.value = v - (v.numerator // v.denominator)
+        v = value if type(value) is Fraction else Fraction(value)
+        whole = v.numerator // v.denominator
+        self.value = v - whole if whole else v
 
     @classmethod
     def parse(cls, text: str) -> "UnitAngle":

@@ -22,6 +22,7 @@ from .classification import (
     canonical_form,
     central_invariant,
     is_isomorphic,
+    isomorphism_matrix,
     mirror_invariant,
     pair_invariant,
     theta_transform,
@@ -308,12 +309,13 @@ def check_classification_coherence(scale: str = "full") -> CheckResult:
             ok = False
         if mirror_invariant(p) != pair_invariant(flipped):
             ok = False
-    for p, q in combinations(params, 2):
-        forward = is_isomorphic(p, q)
-        backward = is_isomorphic(q, p)
+    matrix = isomorphism_matrix(params)
+    for a, b in combinations(range(len(params)), 2):
+        forward = matrix[a][b]
+        backward = matrix[b][a]
         if (forward is IsoCase.NO) != (backward is IsoCase.NO):
             ok = False
-        if (forward is not IsoCase.NO) != (forms[p] == forms[q]):
+        if (forward is not IsoCase.NO) != (forms[params[a]] == forms[params[b]]):
             ok = False
     # canonical-form equality is transitive, so the above also gives transitivity
     classes = set(forms.values())

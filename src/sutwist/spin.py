@@ -350,15 +350,13 @@ def sigma_index(n: int, i: int, mask: int, mode: Mode) -> tuple[int, int]:
     return (0 if mode == "classical" else 2 * expo), sign
 
 
-def tilde_e(n: int, i: int, plus_rep: Representation) -> FlatVector:
+def tilde_e(n: int, i: int, basis: SubsetBasis, mode: Mode) -> FlatVector:
     """The image of the vector-representation basis e_i inside U+ tensor U+.
 
     For i <= n the summation runs over pairs overlapping exactly in {i}; for
     i = n + j over partitions of the complement of {j}; the first factor
-    always has odd size.
+    always has odd size; `basis` is the odd half-spin basis.
     """
-    mode = plus_rep.mode
-    basis: SubsetBasis = plus_rep.basis
     full = (1 << n) - 1
     out: FlatVector = {}
     if i <= n:
@@ -407,7 +405,7 @@ def check_V_intertwiner(n: int, mode: Mode) -> bool:
     plus = build_spin_rep(n, mode, "odd")
     vector = build_vector_rep(n, mode)
     pair = (plus, plus)
-    images = [tilde_e(n, idx + 1, plus) for idx in range(2 * n)]
+    images = [tilde_e(n, idx + 1, plus.basis, mode) for idx in range(2 * n)]
     for i in range(1, n + 1):
         h_plus, h_vec = plus.hvals[i], vector.hvals[i]
         for col, image in enumerate(images):
@@ -432,14 +430,13 @@ def embeddings_g_h(n: int, mode: Mode) -> tuple[FlatVector, FlatVector]:
     g sums e_i tensor tilde_e_{n+i} with weight q^i; h sums tilde_e_{n+j}
     tensor e_j with weight q^(-j); classically both weights are 1.
     """
-    plus = build_spin_rep(n, mode, "odd")
-    basis: SubsetBasis = plus.basis
+    basis = SubsetBasis(n, "odd")
     g: FlatVector = {}
     h: FlatVector = {}
     for i in range(1, n + 1):
         singleton = basis.index[1 << (i - 1)]
         weight = 0 if mode == "classical" else 2 * i
-        for ((a, b), e), c in tilde_e(n, n + i, plus).items():
+        for ((a, b), e), c in tilde_e(n, n + i, basis, mode).items():
             g_key = ((singleton, a, b), e + weight)
             g[g_key] = g.get(g_key, 0) + c
             h_key = ((a, b, singleton), e - weight)
@@ -518,7 +515,7 @@ def invariant_f(n: int, q0: Fraction) -> dict[tuple[int, int, int, int], int]:
     coords = kernel[0]
 
     # push the middle V slot through the intertwiner, evaluated at q0
-    tilde = [tilde_e(n, idx + 1, plus) for idx in range(2 * n)]
+    tilde = [tilde_e(n, idx + 1, plus.basis, mode) for idx in range(2 * n)]
     raw: dict[tuple[int, int, int, int], Fraction] = {}
     for (a, v_idx, d), c in zip(keys, coords):
         if c == 0:
@@ -544,7 +541,7 @@ def theorem_a1_check(n: int, q0: Fraction) -> bool:
     nonzero multiple of the identity.
     """
     f = invariant_f(n, Fraction(q0))
-    dim = len(build_spin_rep(n, "quantum", "odd").basis)
+    dim = len(SubsetBasis(n, "odd"))
     m = [[0] * dim for _ in range(dim)]
     tails: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for (a, b, c, d), val in f.items():

@@ -2,6 +2,7 @@
 round trip between emitted payloads and library objects."""
 
 import json
+from math import factorial
 
 import pytest
 
@@ -121,6 +122,21 @@ class TestPresent:
         assert main(["present", "--param", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_rank_above_work_budget_refused_before_any_relation(self, tmp_path, capsys, monkeypatch):
+        from sutwist import cli
+        from sutwist.cli import PRESENT_MAX_N
+
+        def no_relations(*args, **kwargs):
+            raise AssertionError("a relation was built")
+
+        monkeypatch.setattr(cli, "generate_relations", no_relations)
+        n = PRESENT_MAX_N + 1
+        entry = {"n": n, "q": "1/2", "tau": ["0"] * (n - 1), "omega": [["0"] * n for _ in range(n)]}
+        assert main(["present", "--param", write_params(tmp_path, [entry])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"n! = {factorial(n)}" in err
+        assert "Traceback" not in err
+
 
 class TestSpinVerify:
     def test_default_rank(self, capsys):
@@ -187,6 +203,42 @@ class TestBadInput:
         path = write_params(tmp_path, [param_entry(), {"n": 3}])
         assert main(["classify", "--param", str(path)]) == 2
         assert "entry 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({**param_entry(), "n": 3.9}, "n must be an integer, got 3.9"),
+            ({**param_entry(), "n": 3.0}, "n must be an integer, got 3.0"),
+            ({**param_entry(), "n": True}, "n must be an integer, got True"),
+            ({**param_entry(), "n": "3"}, "n must be an integer, got '3'"),
+            (param_entry(q=0.1), "q must be an integer or a rational string"),
+            (param_entry(q="0.1"), "q must be an integer or a rational string"),
+            (param_entry(q=True), "q must be an integer or a rational string"),
+            (param_entry(taus=(0.5, "0")), "tau entry must be an integer or a rational string"),
+            (param_entry(taus=(False, "0")), "tau entry must be an integer or a rational string"),
+            ({**param_entry(), "tau": "12"}, "tau must be a JSON list"),
+            (
+                {**param_entry(), "omega": [[0.0, "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+                "omega entry must be an integer or a rational string",
+            ),
+            ({**param_entry(), "omega": ["000", "000", "000"]}, "omega row must be a JSON list"),
+        ],
+        ids=[
+            "n-float", "n-integral-float", "n-bool", "n-string", "q-float", "q-decimal-string",
+            "q-bool", "tau-float", "tau-bool", "tau-string", "omega-float", "omega-row-string",
+        ],
+    )
+    def test_inexact_or_mistyped_value_is_input_error(self, tmp_path, capsys, entry, message):
+        path = write_params(tmp_path, [entry])
+        assert main(["classify", "--param", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "entry 0" in err and message in err
+        assert "Traceback" not in err
+
+    def test_integer_values_are_accepted(self, tmp_path, capsys):
+        entry = {**param_entry(), "tau": [0, 0], "omega": [[0] * 3 for _ in range(3)]}
+        assert main(["canonical", "--param", write_params(tmp_path, [entry])]) == 0
+        assert json.loads(capsys.readouterr().out)["canonical_forms"][0]["tau"] == ["0/1", "0/1"]
 
     @pytest.mark.parametrize(
         "entry",

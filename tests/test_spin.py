@@ -118,21 +118,21 @@ class TestIndexShift:
 class TestTildeE:
     def test_quantum_e1_entries(self):
         plus = build_spin_rep(3, "quantum", "odd")
-        vec = tilde_e(3, 1, plus)
+        vec = tilde_e(3, 1, plus.basis, plus.mode)
         idx = plus.basis.index
         one, full = idx[0b001], idx[0b111]
         assert vec == {((one, full), -4): 1, ((full, one), -6): -1}
 
     def test_classical_e1_entries(self):
         plus = build_spin_rep(3, "classical", "odd")
-        vec = tilde_e(3, 1, plus)
+        vec = tilde_e(3, 1, plus.basis, plus.mode)
         idx = plus.basis.index
         assert vec == {((idx[0b001], idx[0b111]), 0): 1, ((idx[0b111], idx[0b001]), 0): -1}
 
     def test_first_factor_always_odd(self):
         plus = build_spin_rep(3, "quantum", "odd")
         for gen in range(1, 7):
-            vec = tilde_e(3, gen, plus)
+            vec = tilde_e(3, gen, plus.basis, plus.mode)
             for (a, _), _ in vec:
                 mask = plus.basis.masks[a]
                 assert bin(mask).count("1") % 2 == 1
@@ -140,7 +140,7 @@ class TestTildeE:
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_raising_kills_lowest_image(self, mode):
         plus = build_spin_rep(3, mode, "odd")
-        vec = tilde_e(3, 1, plus)
+        vec = tilde_e(3, 1, plus.basis, plus.mode)
         assert coproduct_action("X", 1, (plus, plus), vec) == {}
 
 
@@ -179,10 +179,10 @@ class TestIntertwinerMutations:
         plus = build_spin_rep(n, mode, "odd")
         stride = 1 if n == 3 else 7  # every entry at n = 3, every 7th at n = 5
         for gen in range(1, 2 * n + 1):
-            for key in list(tilde_e(n, gen, plus))[::stride]:
+            for key in list(tilde_e(n, gen, plus.basis, mode))[::stride]:
                 with monkeypatch.context() as m:
 
-                    def corrupt(n_, i, rep, vec, gen=gen, key=key):
+                    def corrupt(n_, i, basis, mode_, vec, gen=gen, key=key):
                         if i == gen:
                             vec[key] = -vec[key]
 
