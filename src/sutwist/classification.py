@@ -40,7 +40,7 @@ class SkewBicharacter:
             raise ValueError("matrix is not square")
         # the checks run on the integers L*angle, L the lcm of all denominators
         values = [[a.value for a in row] for row in self.angles]
-        L = lcm(1, *(v.denominator for row in values for v in row))
+        L = lcm(*(v.denominator for row in values for v in row))
         m = [[v.numerator * (L // v.denominator) for v in row] for row in values]
         for i in range(self.n):
             if m[i][i]:
@@ -223,6 +223,7 @@ class Invariants(NamedTuple):
 
 
 def invariants(p: ParamTuple) -> Invariants:
+    """q, the central invariant and both invariant matrices of p."""
     return Invariants(p.n, p.q, central_invariant(p.tau), pair_invariant(p), mirror_invariant(p))
 
 
