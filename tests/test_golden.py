@@ -12,7 +12,8 @@ It also holds the stdout of `sutwist spin-verify` at n = 3, 5, 7, 9 with
 styles, captured from the HalfLaurent-backed spin implementation.
 
 It also holds `classify` and `canonical` with `--report text` on the 162
-rank-3 tuples of `selftest._grid_params()`, `present` at n = 2..5 in JSON and
+rank-3 tuples of `selftest._grid_params()` and on 45 seeded tuples at each of
+n = 4 and 5 (`rank_params`), `present` at n = 2..5 in JSON and
 LaTeX on fixed tuples with non-trivial tau (and non-trivial omega from n = 3
 on; at n = 2 omega is forced to vanish), and `selftest --scale quick --report
 json`.  Their parameter files are committed next to them
@@ -25,6 +26,14 @@ common modulus of the relation coefficients is larger than either.  At n = 7
 length and SHA-256 of both outputs are kept, in `present-n7-digests.json`.
 These were captured from the Fraction-backed presentation code.
 
+The n = 4 and 5 classify/canonical slice was captured from the
+`UnitAngle`-backed classification code.  Its tuples come in threes: a seeded
+tuple with omega denominators from {1, 2, 3, 4, 5, 6, 8, 12}, its
+`theta_transform` image and a half-turn twist of that image, so the verdicts
+direct, mirror and no all occur, and at n = 5 isomorphic tuples whose common
+modulus lcm(n, omega denominators) differs are compared.  `classify` refuses
+to compare tuples of different ranks, so each rank has its own file.
+
 To rewrite them after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -33,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from itertools import product
 from pathlib import Path
@@ -42,10 +52,10 @@ import pytest
 from fractions import Fraction
 
 from sutwist.cli import main
-from sutwist.classification import ParamTuple, SkewBicharacter
+from sutwist.classification import ParamTuple, SkewBicharacter, theta_transform, twist_compose
 from sutwist.cohomology import Cochain, klein_cocycles, standard_cyclic_3cocycle
 from sutwist.lattice import TauVector, all_tau_vectors, descend_c_tau
-from sutwist.scalars import UnitAngle
+from sutwist.scalars import HALF_ANGLE, UnitAngle
 from sutwist.selftest import _grid_params
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,10 +122,30 @@ def present_param(n: int) -> ParamTuple:
     return ParamTuple(n, Fraction(2, 3), TauVector(n, _angles(*tau)), omega)
 
 
+OMEGA_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12)
+CLASSIFY_RANKS = (4, 5)
+
+
+def rank_params(n: int, count: int = 15) -> list[ParamTuple]:
+    """Seeded rank-n tuples, each followed by its theta image and a half-turn twist of the image."""
+    rng = random.Random(4500 + n)
+    out = []
+    for _ in range(count):
+        d = rng.choice(OMEGA_DENOMINATORS)
+        tau = TauVector(n, [UnitAngle(Fraction(rng.randrange(n), n)) for _ in range(n - 1)])
+        upper = {(i, j): UnitAngle(Fraction(rng.randrange(d), d)) for i in range(1, n) for j in range(i + 1, n)}
+        p = ParamTuple(n, rng.choice((Fraction(1, 2), Fraction(2, 3))), tau, SkewBicharacter.from_upper_block(n, upper))
+        image = theta_transform(p)
+        half = {k: HALF_ANGLE for k in upper if rng.randrange(2)} or {(1, 2): HALF_ANGLE}
+        out += [p, image, twist_compose(image, SkewBicharacter.from_upper_block(n, half))]
+    return out
+
+
 PRESENT_RANKS = (2, 3, 4, 5, 6)
 DIGEST_RANK = 7
 PARAM_FILES = {
     "grid-params.json": lambda: [p.to_json() for p in _grid_params()],
+    **{f"n{n}-params.json": (lambda n=n: [p.to_json() for p in rank_params(n)]) for n in CLASSIFY_RANKS},
     **{
         f"present-n{n}-params.json": (lambda n=n: present_param(n).to_json())
         for n in PRESENT_RANKS + (DIGEST_RANK,)
@@ -138,6 +168,11 @@ CLI_CASES = {
     **{
         f"{command}-grid.text": (command, "--param", "grid-params.json", "--report", "text")
         for command in ("classify", "canonical")
+    },
+    **{
+        f"{command}-n{n}.text": (command, "--param", f"n{n}-params.json", "--report", "text")
+        for command in ("classify", "canonical")
+        for n in CLASSIFY_RANKS
     },
     **{name: args for n in PRESENT_RANKS for name, args in present_cases(n).items()},
     "selftest-quick.json": ("selftest", "--scale", "quick", "--report", "json"),
