@@ -4,6 +4,14 @@ A parameter tuple (n, q, tau, omega) is compared to another through three
 invariants: q itself, the central invariant sum_i i*tau_i, and the upper
 triangular matrix combining the doubled omega angles with tau-interval sums.
 The mirror case composes the second tuple with the order-2 diagram symmetry.
+
+Each invariant is an integer combination of the tau and omega angles, so it is
+computed on the residue record that `ParamTuple` builds once: the angles as
+integers over L = lcm(n, the modulus of omega), where tau_i = t_i / n and the
+modulus of omega is the lcm of its denominators.  The central invariant is
+sum_i i*t_i mod n.  Isomorphic tuples can have different L (a half-turn twist
+of omega changes its modulus but no invariant), so `_decide` compares each
+matrix reduced to its least modulus, and n*central mod n, never raw residues.
 """
 
 from __future__ import annotations
@@ -11,11 +19,12 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .lattice import TauVector
-from .scalars import UnitAngle, ZERO_ANGLE
+from .scalars import UnitAngle, ZERO_ANGLE, residues
 
 Matrix = tuple[tuple[UnitAngle, ...], ...]
 
@@ -29,32 +38,32 @@ class NonKacDomain(ValueError):
 
 
 class SkewBicharacter:
-    """An n x n matrix of angles: zero diagonal, antisymmetric, zero column sums."""
+    """An n x n matrix of angles: zero diagonal, antisymmetric, zero column sums.
 
-    __slots__ = ("n", "angles")
+    `nums[i][j] / modulus` is the angle at (i, j), with `modulus` the lcm of
+    all denominators; the checks run on these integers.
+    """
+
+    __slots__ = ("n", "angles", "modulus", "nums")
 
     def __init__(self, angles: Sequence[Sequence[UnitAngle]]) -> None:
-        self.n = len(angles)
+        n = self.n = len(angles)
         self.angles = tuple(tuple(row) for row in angles)
-        if any(len(row) != self.n for row in self.angles):
+        if any(len(row) != n for row in self.angles):
             raise ValueError("matrix is not square")
-        # the checks run on the integers L*angle, L the lcm of all denominators
-        values = [[a.value for a in row] for row in self.angles]
-        L = lcm(*(v.denominator for row in values for v in row))
-        m = [[v.numerator * (L // v.denominator) for v in row] for row in values]
-        for i in range(self.n):
+        flat, L = residues(a.value for row in self.angles for a in row)
+        m = [flat[i * n : (i + 1) * n] for i in range(n)]
+        for i in range(n):
             if m[i][i]:
                 raise ValueError(f"diagonal entry ({i}, {i}) is nonzero")
-            for j in range(self.n):
+            for j in range(n):
                 if (m[j][i] + m[i][j]) % L:
                     raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) are not opposite")
-        for j in range(self.n):
+        for j in range(n):
             if sum(row[j] for row in m) % L:
                 raise ValueError(f"column {j} does not sum to zero")
-
-    @classmethod
-    def zero(cls, n: int) -> "SkewBicharacter":
-        return cls([[ZERO_ANGLE] * n for _ in range(n)])
+        self.modulus = L
+        self.nums = m
 
     @classmethod
     def from_upper_block(cls, n: int, upper: dict[tuple[int, int], UnitAngle]) -> "SkewBicharacter":
@@ -62,19 +71,17 @@ class SkewBicharacter:
 
         The last row and column are filled from the zero-column-sum constraint.
         """
-        m = [[ZERO_ANGLE] * n for _ in range(n)]
-        for (i, j), a in upper.items():
+        for i, j in upper:
             if not 1 <= i < j <= n - 1:
                 raise ValueError(f"index ({i}, {j}) outside the upper block")
-            m[i - 1][j - 1] = a
-            m[j - 1][i - 1] = -a
+        nums, L = residues(a.value for a in upper.values())
+        m = [[0] * n for _ in range(n)]
+        for (i, j), r in zip(upper, nums):
+            m[i - 1][j - 1], m[j - 1][i - 1] = r, -r
         for j in range(n - 1):
-            col = ZERO_ANGLE
-            for i in range(n - 1):
-                col = col + m[i][j]
-            m[n - 1][j] = -col
-            m[j][n - 1] = col
-        return cls(m)
+            col = sum(row[j] for row in m[: n - 1])
+            m[n - 1][j], m[j][n - 1] = -col, col
+        return cls([[UnitAngle(Fraction(x, L)) for x in row] for row in m])
 
     def angle(self, i: int, j: int) -> UnitAngle:
         """omega_{ij} as an angle, 1-indexed."""
@@ -107,9 +114,14 @@ def _list(value: object, what: str) -> list:
 
 
 class ParamTuple:
-    """The full classification datum (n, q, tau, omega)."""
+    """The full classification datum (n, q, tau, omega), with its residue record.
 
-    __slots__ = ("n", "q", "tau", "omega")
+    The record holds the angles as integers over `modulus` L = lcm(n, the
+    modulus of omega): `prefix[j]` = L*(tau_1 + ... + tau_{j-1}) and
+    `scaled_omega[i][j]` = L*omega_ij, both 1-indexed (index 0 is padding).
+    """
+
+    __slots__ = ("n", "q", "tau", "omega", "modulus", "prefix", "scaled_omega")
 
     def __init__(self, n: int, q: Fraction, tau: TauVector, omega: SkewBicharacter) -> None:
         if n < 2:
@@ -123,6 +135,10 @@ class ParamTuple:
         self.q = q
         self.tau = tau
         self.omega = omega
+        L = self.modulus = lcm(n, omega.modulus)
+        s, u = L // n, L // omega.modulus
+        self.prefix = [0, *accumulate((s * t for t in tau.t), initial=0)]
+        self.scaled_omega = [[0] * (n + 1)] + [[0, *(u * x for x in row)] for row in omega.nums]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -163,28 +179,38 @@ class IsoCase(enum.Enum):
     MIRROR = "mirror"
 
 
+def _central(tau: TauVector) -> int:
+    """n * sum_i i*tau_i mod n."""
+    return sum(i * t for i, t in enumerate(tau.t, 1)) % tau.n
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The index pairs 1 <= i < j <= n-1 of the invariant matrices, row by row."""
+    return [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+
+
+def _matrices(p: ParamTuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The direct and the mirror matrix of p as residues mod p.modulus, in `_pairs` order."""
+    n, L, P, w = p.n, p.modulus, p.prefix, p.scaled_omega
+    pairs = _pairs(n)
+    direct = tuple((2 * w[i][j] + P[j] - P[i]) % L for i, j in pairs)
+    mirror = tuple((2 * w[n - i + 1][n - j + 1] - P[n - i + 1] + P[n - j + 1]) % L for i, j in pairs)
+    return direct, mirror
+
+
+def _angle_matrix(p: ParamTuple, flat: Sequence[int]) -> Matrix:
+    it = iter(flat)
+    return tuple(tuple(UnitAngle(Fraction(next(it), p.modulus)) for _ in range(i + 1, p.n)) for i in range(1, p.n))
+
+
 def central_invariant(tau: TauVector) -> UnitAngle:
     """sum_i i * tau_i as an angle; classifies the associator class."""
-    out = ZERO_ANGLE
-    for i in range(1, tau.n):
-        out = out + tau.angle(i).scale(i)
-    return out
-
-
-def tau_interval(tau: TauVector, i: int, j: int) -> UnitAngle:
-    """sum of tau_k angles for i <= k <= j-1."""
-    out = ZERO_ANGLE
-    for k in range(i, j):
-        out = out + tau.angle(k)
-    return out
+    return UnitAngle(Fraction(_central(tau), tau.n))
 
 
 def pair_invariant(p: ParamTuple) -> Matrix:
     """M_{ij} = 2*omega_{ij} + sum_{k=i}^{j-1} tau_k, over 1 <= i < j <= n-1."""
-    return tuple(
-        tuple(p.omega.angle(i, j).scale(2) + tau_interval(p.tau, i, j) for j in range(i + 1, p.n))
-        for i in range(1, p.n)
-    )
+    return _angle_matrix(p, _matrices(p)[0])
 
 
 def mirror_invariant(p: ParamTuple) -> Matrix:
@@ -192,14 +218,7 @@ def mirror_invariant(p: ParamTuple) -> Matrix:
 
     The tau sum runs over tau_{n-j+1}, ..., tau_{n-i}.
     """
-    n = p.n
-    return tuple(
-        tuple(
-            p.omega.angle(n - i + 1, n - j + 1).scale(2) - tau_interval(p.tau, n - j + 1, n - i + 1)
-            for j in range(i + 1, n)
-        )
-        for i in range(1, n)
-    )
+    return _angle_matrix(p, _matrices(p)[1])
 
 
 def theta_transform(p: ParamTuple) -> ParamTuple:
@@ -213,18 +232,24 @@ def theta_transform(p: ParamTuple) -> ParamTuple:
 
 
 class Invariants(NamedTuple):
-    """What the decision procedure compares, computed once per tuple."""
+    """What the decision procedure compares, computed once per tuple (see the module docstring)."""
 
     n: int
     q: Fraction
-    central: UnitAngle
-    direct: Matrix
-    mirror: Matrix
+    central: int
+    direct: tuple[int, tuple[int, ...]]
+    mirror: tuple[int, tuple[int, ...]]
+
+
+def _reduced(L: int, flat: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    g = gcd(L, *flat)
+    return L // g, tuple(r // g for r in flat)
 
 
 def invariants(p: ParamTuple) -> Invariants:
     """q, the central invariant and both invariant matrices of p."""
-    return Invariants(p.n, p.q, central_invariant(p.tau), pair_invariant(p), mirror_invariant(p))
+    direct, mirror = _matrices(p)
+    return Invariants(p.n, p.q, _central(p.tau), _reduced(p.modulus, direct), _reduced(p.modulus, mirror))
 
 
 def _decide(a: Invariants, b: Invariants) -> IsoCase:
@@ -261,25 +286,22 @@ def twist_compose(p: ParamTuple, extra: SkewBicharacter) -> ParamTuple:
     return ParamTuple(p.n, p.q, p.tau, omega)
 
 
-def _lex_key(m: Matrix) -> tuple:
-    return tuple(a.value for row in m for a in row)
-
-
 def canonical_form(p: ParamTuple) -> ParamTuple:
     """The distinguished representative of the isomorphism class of p.
 
     tau is concentrated in the first entry (carrying the central invariant) and
     omega is reconstructed so the pair invariant is the lexicographically
-    smaller of the two invariant matrices of p.
+    smaller of the two invariant matrices of p.  Both matrices are residues
+    over the one modulus L of p, so they compare as integer tuples, and the
+    omega entry that halves a residue r is r / (2L).
     """
-    n = p.n
-    inv = invariants(p)
-    tau = TauVector(n, (inv.central,) + (ZERO_ANGLE,) * (n - 2))
-    target = inv.direct if _lex_key(inv.direct) <= _lex_key(inv.mirror) else inv.mirror
-    upper = {}
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            want = target[i - 1][j - i - 1] - tau_interval(tau, i, j)
-            upper[(i, j)] = want.halve()
+    n, L = p.n, p.modulus
+    c = _central(p.tau)
+    tau = TauVector(n, (UnitAngle(Fraction(c, n)),) + (ZERO_ANGLE,) * (n - 2))
+    shift = c * (L // n)  # L*tau_1 of the new tau, in every tau interval that starts at 1
+    upper = {
+        (i, j): UnitAngle(Fraction((r - (shift if i == 1 else 0)) % L, 2 * L))
+        for (i, j), r in zip(_pairs(n), min(_matrices(p)))
+    }
     omega = SkewBicharacter.from_upper_block(n, upper)
     return ParamTuple(n, p.q, tau, omega)

@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .scalars import UnitAngle
+from .scalars import UnitAngle, residues
 from .smith import Matrix, mat_mul, mat_vec, smith_normal_form
 
 Element = tuple[int, ...]
@@ -108,12 +108,6 @@ def _domain(group: FiniteAbelianGroup, degree: int) -> Iterator[tuple[Element, .
     return product(group.elements(), repeat=degree)
 
 
-def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as numerators in [0, N) over their common denominator N."""
-    modulus = lcm(*(v.denominator for v in values))
-    return [v.numerator * (modulus // v.denominator) % modulus for v in values], modulus
-
-
 class Cochain:
     """A dense Q/Z-valued function on Gamma^degree: value i is nums[i]/modulus."""
 
@@ -128,7 +122,7 @@ class Cochain:
         expected = group.order**degree
         if len(table) != expected:
             raise ValueError(f"table has {len(table)} entries, domain has {expected}")
-        self._assign(group, degree, *_numerators([table[args].value for args in _domain(group, degree)]))
+        self._assign(group, degree, *residues([table[args].value for args in _domain(group, degree)]))
 
     def _assign(self, group: FiniteAbelianGroup, degree: int, nums: Sequence[int], modulus: int) -> "Cochain":
         """Store nums/modulus with the modulus reduced; nums must lie in [0, modulus)."""
@@ -157,7 +151,7 @@ class Cochain:
 
     @classmethod
     def from_function(cls, group: FiniteAbelianGroup, degree: int, fn) -> "Cochain":
-        return cls._make(group, degree, *_numerators([fn(*args).value for args in _domain(group, degree)]))
+        return cls._make(group, degree, *residues([fn(*args).value for args in _domain(group, degree)]))
 
     @classmethod
     def zero(cls, group: FiniteAbelianGroup, degree: int) -> "Cochain":
@@ -230,7 +224,7 @@ class Cochain:
         values = [Fraction(v) for v in data["values"]]
         if len(values) != group.order**degree:
             raise ValueError("value count does not match the domain")
-        return cls._make(group, degree, *_numerators(values))
+        return cls._make(group, degree, *residues(values))
 
     def __repr__(self) -> str:
         return f"Cochain({self.group}, degree={self.degree})"

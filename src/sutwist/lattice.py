@@ -71,18 +71,20 @@ class WeightVec:
 
 
 class TauVector:
-    """An (n-1)-tuple of n-th roots of unity, stored as angles."""
+    """An (n-1)-tuple of n-th roots of unity, stored as angles and as the integers t_i = n * tau_i."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "t")
 
     def __init__(self, n: int, entries: Sequence[UnitAngle]) -> None:
         if len(entries) != n - 1:
             raise ValueError(f"expected {n - 1} entries, got {len(entries)}")
-        for a in entries:
-            if (n * a.value).denominator != 1:
+        t = [n * a.value for a in entries]
+        for a, x in zip(entries, t):
+            if x.denominator != 1:
                 raise ValueError(f"entry {a} is not an n-th root of unity for n={n}")
         self.n = n
         self.entries = tuple(entries)
+        self.t = tuple(x.numerator for x in t)
 
     @classmethod
     def trivial(cls, n: int) -> "TauVector":
@@ -139,11 +141,6 @@ def c_tau_residue(t: Sequence[int], lam: WeightVec, mu: WeightVec) -> int:
     return -sum(map(mul, t, a)) * weight_norm(mu) % lam.n
 
 
-def _tau_numerators(tau: TauVector) -> tuple[int, ...]:
-    """The t_i with tau_i = t_i / n."""
-    return tuple(int(tau.n * a.value) for a in tau.entries)
-
-
 def c_tau_eval(tau: TauVector, lam: WeightVec, mu: WeightVec) -> UnitAngle:
     """The normalized 2-cochain c_tau at (lam, mu), as an angle.
 
@@ -151,7 +148,7 @@ def c_tau_eval(tau: TauVector, lam: WeightVec, mu: WeightVec) -> UnitAngle:
     section coordinates; the two defining recursions follow from a(lam + alpha_i)
     = a(lam) + e_i and the n-torsion of tau.
     """
-    return UnitAngle(Fraction(c_tau_residue(_tau_numerators(tau), lam, mu), tau.n))
+    return UnitAngle(Fraction(c_tau_residue(tau.t, lam, mu), tau.n))
 
 
 CochainFn = Callable[[WeightVec, WeightVec], UnitAngle]
@@ -203,8 +200,7 @@ def descend_c_tau(tau: TauVector) -> Cochain:
     Runs on residues mod n (see `c_tau_residue`), with every Q-invariance
     check of `_descend`.
     """
-    n = tau.n
-    t = _tau_numerators(tau)
+    n, t = tau.n, tau.t
 
     def residue(lam: WeightVec, mu: WeightVec) -> int:
         return c_tau_residue(t, lam, mu)

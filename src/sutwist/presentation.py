@@ -5,11 +5,14 @@ Relations are emitted in sum-to-zero form: a relation is a list of
 (i, j) for v_{ij} and coefficients are exact root-of-unity times q-power sums.
 The quantum determinant relation stores its constant -1 as an empty-word term.
 
-Every coefficient angle is computed as an integer residue.  Let L be the lcm
-of the denominators of all tau_k and omega_ij of the tuple; then L*tau_k and
-L*omega_ij are integers, and every angle below is an integer combination of
-them, reduced mod L.  With P[j] = L*(tau_1 + ... + tau_{j-1}) the prefix sums,
-a tau interval tau_i + ... + tau_{j-1} is P[j] - P[i].  The determinant term
+Every coefficient angle is computed as an integer residue, read from the
+residue record that `ParamTuple` builds once.  Its modulus L is the lcm of n
+and of the denominators of all omega_ij; each tau_k is an n-th root of unity,
+so L*tau_k and L*omega_ij are integers, and every angle below is an integer
+combination of them, reduced mod L.  With P[j] = L*(tau_1 + ... + tau_{j-1})
+the prefix sums (`ParamTuple.prefix`) and W[i][j] = L*omega_ij
+(`ParamTuple.scaled_omega`), a tau interval tau_i + ... + tau_{j-1} is
+P[j] - P[i].  The determinant term
 of a permutation sigma has q-exponent inv(sigma), sign (-1)^inv(sigma) and
 angle
 
@@ -26,8 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate, permutations
-from math import lcm
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .classification import ParamTuple
@@ -45,7 +47,6 @@ class RelationPoly:
     def __init__(self, terms: Iterable[tuple[CycloLaurent, Word]]) -> None:
         merged: dict[Word, CycloLaurent] = {}
         for coeff, word in terms:
-            word = tuple((int(i), int(j)) for i, j in word)
             prev = merged.get(word)
             merged[word] = coeff if prev is None else prev + coeff
         self.terms = tuple(
@@ -67,25 +68,12 @@ class RelationPoly:
 
 
 class _Residues:
-    """The tau and omega angles of one tuple as integers mod their common modulus L.
+    """The coefficient cache of one call: one angle r / L and one coefficient object per distinct key."""
 
-    `prefix[j]` = L*(tau_1 + ... + tau_{j-1}) and `omega[i][j]` = L*omega_ij,
-    both 1-indexed (index 0 is padding).
-    """
+    __slots__ = ("modulus", "_angles", "_coeffs")
 
-    __slots__ = ("modulus", "prefix", "omega", "_angles", "_coeffs")
-
-    def __init__(self, p: ParamTuple) -> None:
-        tau = [a.value for a in p.tau.entries]
-        rows = [[a.value for a in row] for row in p.omega.angles]
-        L = lcm(*(v.denominator for v in tau), *(v.denominator for row in rows for v in row))
-
-        def scaled(v: Fraction) -> int:
-            return v.numerator * (L // v.denominator)
-
-        self.modulus = L
-        self.prefix = [0, *accumulate(map(scaled, tau), initial=0)]
-        self.omega = [[0] * (p.n + 1)] + [[0, *map(scaled, row)] for row in rows]
+    def __init__(self, modulus: int) -> None:
+        self.modulus = modulus
         self._angles: dict[int, UnitAngle] = {}
         self._coeffs: dict[tuple[int, int, int], CycloLaurent] = {}
 
@@ -113,8 +101,7 @@ def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     of quantum SU(n).
     """
     n = p.n
-    res = _Residues(p)
-    P, w, coeff = res.prefix, res.omega, res.coeff
+    P, w, coeff = p.prefix, p.scaled_omega, _Residues(p.modulus).coeff
     rels: list[RelationPoly] = []
     one = CycloLaurent.one()
     # same row: v_ij v_il = (prod tau_p^-1, j<=p<l) q conj(omega_jl)^2 v_il v_ij
@@ -161,9 +148,9 @@ def quantum_det_relation(p: ParamTuple) -> RelationPoly:
     is computed as a residue by the identity in the module docstring.
     """
     n = p.n
-    res = _Residues(p)
-    P = res.prefix
-    w2 = [[2 * x for x in row] for row in res.omega]
+    res = _Residues(p.modulus)
+    P = p.prefix
+    w2 = [[2 * x for x in row] for row in p.scaled_omega]
     rows = range(1, n + 1)
     base = -sum((k - 1) * P[k] for k in rows)
     terms: list[tuple[CycloLaurent, Word]] = []

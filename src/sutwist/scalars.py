@@ -1,14 +1,18 @@
 """Exact coefficient arithmetic: circle-group angles, Laurent polynomials in q^(1/2).
 
 All circle-group values are torsion points, represented additively as rationals
-mod 1 (the angle a stands for e^(2*pi*i*a)).  Half-integer exponents of q are
-stored doubled, so q^(1/2) has stored exponent 1.
+mod 1 (the angle a stands for e^(2*pi*i*a)).  `residues` turns a set of them
+into integers over their common denominator, the form every integer kernel
+works in.  Half-integer exponents of q are stored doubled, so q^(1/2) has
+stored exponent 1.  `HalfLaurent` and `CycloLaurent` share one sparse-dict core,
+`_Sparse`; each adds only its product, named constructors and printing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from math import isqrt, lcm
+from typing import Iterable, Mapping
 
 
 class NonSquareBase(ValueError):
@@ -38,14 +42,6 @@ class UnitAngle:
     def __neg__(self) -> "UnitAngle":
         return UnitAngle(-self.value)
 
-    def scale(self, k: int) -> "UnitAngle":
-        """k-fold sum of self, i.e. k*a mod 1."""
-        return UnitAngle(k * self.value)
-
-    def halve(self) -> "UnitAngle":
-        """The square-root choice p/(2q) in [0, 1/2); doubling recovers self."""
-        return UnitAngle(self.value / 2)
-
     @property
     def is_zero(self) -> bool:
         return self.value == 0
@@ -55,12 +51,6 @@ class UnitAngle:
 
     def __hash__(self) -> int:
         return hash(self.value)
-
-    def __lt__(self, other: "UnitAngle") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "UnitAngle") -> bool:
-        return self.value <= other.value
 
     def __repr__(self) -> str:
         return f"UnitAngle({self.value})"
@@ -73,42 +63,67 @@ ZERO_ANGLE = UnitAngle(0)
 HALF_ANGLE = UnitAngle(Fraction(1, 2))
 
 
+def residues(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals mod 1 as residues r in [0, L) over L, the lcm of their denominators."""
+    values = list(values)
+    L = lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) % L for v in values], L
+
+
 def _sqrt_fraction(x: Fraction) -> Fraction:
     """Exact square root of a nonnegative rational, or raise NonSquareBase."""
     if x < 0:
         raise NonSquareBase(f"negative base {x}")
-    num = x.numerator
-    den = x.denominator
-    rn = int(num**0.5)
-    while rn * rn < num:
-        rn += 1
-    while rn * rn > num:
-        rn -= 1
-    rd = int(den**0.5)
-    while rd * rd < den:
-        rd += 1
-    while rd * rd > den:
-        rd -= 1
+    num, den = x.numerator, x.denominator
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise NonSquareBase(f"{x} is not a square of a rational")
     return Fraction(rn, rd)
 
 
-class HalfLaurent:
+class _Sparse:
+    """A sparse sum of terms: `terms` maps keys to nonzero integer coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None) -> None:
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+
+class HalfLaurent(_Sparse):
     """Laurent polynomial in q^(1/2) with integer coefficients.
 
     Terms map doubled exponents to nonzero integer coefficients, so
     ``{1: 1}`` is q^(1/2) and ``{-2: 3}`` is 3*q^(-1).
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, int] | None = None) -> None:
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "HalfLaurent":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "HalfLaurent":
@@ -123,22 +138,6 @@ class HalfLaurent:
     def from_int(cls, k: int) -> "HalfLaurent":
         return cls({0: k})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return HalfLaurent(out)
-
-    def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
@@ -146,12 +145,6 @@ class HalfLaurent:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return HalfLaurent(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HalfLaurent) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def evaluate(self, q0: Fraction) -> Fraction:
         """Exact evaluation at a positive rational q0.
@@ -186,21 +179,15 @@ def quantum_integer(m: int) -> HalfLaurent:
     return HalfLaurent({2 * (m - 1 - 2 * k): 1 for k in range(m)})
 
 
-class CycloLaurent:
+class CycloLaurent(_Sparse):
     """Sum of terms mult * e^(2*pi*i*angle) * q^(exp), exp a half-integer.
 
-    Terms with equal (angle, doubled exponent) are merged; distinct roots of
-    unity are never combined, so zero-testing is per matched term.
+    Terms map (angle, doubled exponent) to nonzero integer multiplicities.
+    Terms with equal keys are merged; distinct roots of unity are never
+    combined, so zero-testing is per matched term.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[UnitAngle, int], int] | None = None) -> None:
-        self.terms = {k: m for k, m in (terms or {}).items() if m != 0}
-
-    @classmethod
-    def zero(cls) -> "CycloLaurent":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "CycloLaurent":
@@ -210,22 +197,6 @@ class CycloLaurent:
     def from_angle(cls, a: UnitAngle, doubled_exponent: int = 0, mult: int = 1) -> "CycloLaurent":
         return cls({(a, doubled_exponent): mult})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CycloLaurent") -> "CycloLaurent":
-        out = dict(self.terms)
-        for k, m in other.terms.items():
-            out[k] = out.get(k, 0) + m
-        return CycloLaurent(out)
-
-    def __sub__(self, other: "CycloLaurent") -> "CycloLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "CycloLaurent":
-        return CycloLaurent({k: -m for k, m in self.terms.items()})
-
     def __mul__(self, other: "CycloLaurent") -> "CycloLaurent":
         out: dict[tuple[UnitAngle, int], int] = {}
         for (a1, e1), m1 in self.terms.items():
@@ -233,12 +204,6 @@ class CycloLaurent:
                 k = (a1 + a2, e1 + e2)
                 out[k] = out.get(k, 0) + m1 * m2
         return CycloLaurent(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycloLaurent) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self) -> list[tuple[UnitAngle, int, int]]:
         return [(a, e, m) for (a, e), m in sorted(self.terms.items(), key=lambda t: (t[0][0].value, t[0][1]))]

@@ -1,8 +1,11 @@
 """Tests for isomorphism invariants, the mirror transform, and canonical forms."""
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sutwist.classification import (
     IsoCase,
@@ -183,7 +186,7 @@ class TestTwistCompose:
         for i, row in enumerate(shifted, start=1):
             for offset, v in enumerate(row):
                 j = i + 1 + offset
-                assert v == base[i - 1][offset] + om.angles[i - 1][j - 1].scale(2)
+                assert v == base[i - 1][offset] + UnitAngle(2 * om.angles[i - 1][j - 1].value)
 
     def test_invisible_twist_preserves_class(self):
         p = make(3, Q, [Fraction(1, 3), Fraction(2, 3)])
@@ -197,3 +200,90 @@ class TestSerialization:
     def test_json_round_trip(self):
         p = make(3, Q, [Fraction(1, 3), Fraction(2, 3)], omega12=Fraction(1, 6))
         assert ParamTuple.from_json(p.to_json()) == p
+
+
+@st.composite
+def params(draw, low=2, high=6):
+    """A tuple of rank low..high with omega denominators up to 12."""
+    n = draw(st.integers(low, high))
+    taus = [Fraction(draw(st.integers(0, n - 1)), n) for _ in range(n - 1)]
+    upper = {}
+    for i in range(1, n - 1):
+        for j in range(i + 1, n):
+            d = draw(st.integers(1, 12))
+            upper[(i, j)] = UnitAngle(Fraction(draw(st.integers(0, d - 1)), d))
+    q = draw(st.sampled_from((Q, Fraction(2, 3))))
+    return ParamTuple(n, q, TauVector.from_fractions(n, taus), SkewBicharacter.from_upper_block(n, upper))
+
+
+def tau_sum(p, i, j):
+    """tau_i + ... + tau_(j-1) as a Fraction."""
+    return sum((p.tau.angle(k).value for k in range(i, j)), Fraction(0))
+
+
+class TestResidueReference:
+    """The integer invariants and the residue record against Fraction sums of the angles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params())
+    def test_invariants_match_fraction_formulas(self, p):
+        n = p.n
+        assert central_invariant(p.tau) == UnitAngle(sum(i * p.tau.angle(i).value for i in range(1, n)))
+        direct = tuple(
+            tuple(UnitAngle(2 * p.omega.angle(i, j).value + tau_sum(p, i, j)) for j in range(i + 1, n))
+            for i in range(1, n)
+        )
+        mirror = tuple(
+            tuple(
+                UnitAngle(2 * p.omega.angle(n - i + 1, n - j + 1).value - tau_sum(p, n - j + 1, n - i + 1))
+                for j in range(i + 1, n)
+            )
+            for i in range(1, n)
+        )
+        assert pair_invariant(p) == direct
+        assert mirror_invariant(p) == mirror
+
+    @settings(max_examples=60, deadline=None)
+    @given(params())
+    def test_record_round_trips(self, p):
+        n, L = p.n, p.modulus
+        assert L == lcm(n, *(a.value.denominator for row in p.omega.angles for a in row))
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                assert UnitAngle(Fraction(p.prefix[j] - p.prefix[i], L)) == UnitAngle(tau_sum(p, i, j))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert UnitAngle(Fraction(p.scaled_omega[i][j], L)) == p.omega.angle(i, j)
+
+
+def half_turns(n):
+    """Every skew bicharacter h of rank n with 2h = 0."""
+    block = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
+    return [
+        SkewBicharacter.from_upper_block(n, {k: HALF_ANGLE for k, bit in zip(block, bits) if bit})
+        for bits in product((0, 1), repeat=len(block))
+    ]
+
+
+class TestDecisionRule:
+    @settings(max_examples=30, deadline=None)
+    @given(params(3, 5))
+    def test_half_turn_twists_are_direct(self, p):
+        for h in half_turns(p.n):
+            assert is_isomorphic(p, twist_compose(p, h)) is IsoCase.DIRECT
+
+    @settings(max_examples=60, deadline=None)
+    @given(params(3, 5))
+    def test_canonical_form_is_idempotent(self, p):
+        cf = canonical_form(p)
+        assert canonical_form(cf) == cf
+
+    @settings(max_examples=60, deadline=None)
+    @given(params(3, 5), st.data())
+    def test_canonical_forms_agree_exactly_on_isomorphic_pairs(self, p, data):
+        image = theta_transform(p)
+        h = data.draw(st.sampled_from(half_turns(p.n)))
+        other = data.draw(params(p.n, p.n))
+        for p2 in (image, twist_compose(image, h), other):
+            same = canonical_form(p) == canonical_form(p2)
+            assert same == (is_isomorphic(p, p2) is not IsoCase.NO)

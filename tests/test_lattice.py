@@ -95,7 +95,7 @@ class TestCTau:
                     lam = WeightVec([rng.randrange(-3, 4) for _ in range(n)])
                     mu = WeightVec([rng.randrange(-3, 4) for _ in range(n)])
                     for i in range(1, n):
-                        shift = tau.angle(i).scale(-weight_norm(mu))
+                        shift = UnitAngle(-weight_norm(mu) * tau.angle(i).value)
                         lhs = c_tau_eval(tau, lam + WeightVec.alpha(n, i), mu)
                         assert lhs == shift + c_tau_eval(tau, lam, mu)
                         assert c_tau_eval(tau, lam, mu + WeightVec.alpha(n, i)) == c_tau_eval(

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sutwist.classification import ParamTuple, SkewBicharacter, pair_invariant, tau_interval
+from sutwist.classification import ParamTuple, SkewBicharacter, pair_invariant
 from sutwist.lattice import TauVector
 from sutwist.presentation import (
     RelationPoly,
@@ -161,6 +161,11 @@ def seeded_param(rng, n):
     return make(n, taus=taus, omega=omega)
 
 
+def tau_sum(p, i, j):
+    """tau_i + ... + tau_(j-1) as a Fraction."""
+    return sum((p.tau.angle(k).value for k in range(i, j)), Fraction(0))
+
+
 class TestCrossLayer:
     """The emitted commutation coefficients agree with the classification invariants."""
 
@@ -178,12 +183,12 @@ class TestCrossLayer:
                     if b < n:
                         angle = -m[a - 1][b - a - 1]
                     else:
-                        angle = -tau_interval(p.tau, a, b) - p.omega.angle(a, b).scale(2)
+                        angle = UnitAngle(-tau_sum(p, a, b) - 2 * p.omega.angle(a, b).value)
                     assert row[((fixed, a), (fixed, b))] == ONE
                     assert row[((fixed, b), (fixed, a))] == -CycloLaurent.from_angle(angle, 2)
                     # same column `fixed`, rows a < b: e(tau_a + ... + tau_(b-1) + 2 omega_ab) q
                     col = by_words[frozenset({((a, fixed), (b, fixed)), ((b, fixed), (a, fixed))})]
-                    angle = tau_interval(p.tau, a, b) + p.omega.angle(a, b).scale(2)
+                    angle = UnitAngle(tau_sum(p, a, b) + 2 * p.omega.angle(a, b).value)
                     assert col[((a, fixed), (b, fixed))] == ONE
                     assert col[((b, fixed), (a, fixed))] == -CycloLaurent.from_angle(angle, 2)
 

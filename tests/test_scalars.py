@@ -24,24 +24,12 @@ class TestUnitAngle:
     def test_add_inverse_pair(self):
         assert UnitAngle(Fraction(1, 3)) + UnitAngle(Fraction(2, 3)) == ZERO_ANGLE
 
-    def test_scale_doubles(self):
-        assert UnitAngle(Fraction(1, 4)).scale(2) == UnitAngle(Fraction(1, 2))
-
     def test_negate(self):
         assert -UnitAngle(Fraction(1, 3)) == UnitAngle(Fraction(2, 3))
 
     def test_reduction_mod_one(self):
         assert UnitAngle(Fraction(7, 3)) == UnitAngle(Fraction(1, 3))
         assert UnitAngle(Fraction(-1, 4)) == UnitAngle(Fraction(3, 4))
-
-    def test_halve_examples(self):
-        assert ZERO_ANGLE.halve() == ZERO_ANGLE
-        assert UnitAngle(Fraction(1, 3)).halve() == UnitAngle(Fraction(1, 6))
-        assert UnitAngle(Fraction(1, 2)).halve() == UnitAngle(Fraction(1, 4))
-
-    @given(angles)
-    def test_halve_then_double(self, a):
-        assert a.halve().scale(2) == a
 
     @given(angles, angles, angles)
     def test_group_laws(self, a, b, c):
