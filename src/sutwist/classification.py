@@ -52,7 +52,7 @@ class SkewBicharacter:
         if any(len(row) != n for row in self.angles):
             raise ValueError("matrix is not square")
         flat, L = residues(a.value for row in self.angles for a in row)
-        m = [flat[i * n : (i + 1) * n] for i in range(n)]
+        m = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
         for i in range(n):
             if m[i][i]:
                 raise ValueError(f"diagonal entry ({i}, {i}) is nonzero")
@@ -137,8 +137,8 @@ class ParamTuple:
         self.omega = omega
         L = self.modulus = lcm(n, omega.modulus)
         s, u = L // n, L // omega.modulus
-        self.prefix = [0, *accumulate((s * t for t in tau.t), initial=0)]
-        self.scaled_omega = [[0] * (n + 1)] + [[0, *(u * x for x in row)] for row in omega.nums]
+        self.prefix = (0, *accumulate((s * t for t in tau.t), initial=0))
+        self.scaled_omega = ((0,) * (n + 1), *((0, *(u * x for x in row)) for row in omega.nums))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -12,9 +12,8 @@ so L*tau_k and L*omega_ij are integers, and every angle below is an integer
 combination of them, reduced mod L.  With P[j] = L*(tau_1 + ... + tau_{j-1})
 the prefix sums (`ParamTuple.prefix`) and W[i][j] = L*omega_ij
 (`ParamTuple.scaled_omega`), a tau interval tau_i + ... + tau_{j-1} is
-P[j] - P[i].  The determinant term
-of a permutation sigma has q-exponent inv(sigma), sign (-1)^inv(sigma) and
-angle
+P[j] - P[i].  The determinant term of a permutation sigma has q-exponent
+inv(sigma), sign (-1)^inv(sigma) and angle
 
     sum_k (k-1) (P[sigma_k] - P[k])  -  2 sum omega_ij over i < j with j before i in sigma,
 
