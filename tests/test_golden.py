@@ -25,6 +25,10 @@ common modulus of the relation coefficients is larger than either.  At n = 7
 (5040 determinant terms, 0.54 MB in JSON and 0.61 MB in LaTeX) only the byte
 length and SHA-256 of both outputs are kept, in `present-n7-digests.json`.
 These were captured from the Fraction-backed presentation code.
+`present-n8-digests.json` does the same at n = 8 (40320 determinant terms)
+on a seeded tuple (`present_param_seeded`), captured from the integer-residue
+presentation code before its depth-first determinant and its serializer
+rewrite.
 
 The n = 4 and 5 classify/canonical slice was captured from the
 `UnitAngle`-backed classification code.  Its tuples come in threes: a seeded
@@ -122,6 +126,19 @@ def present_param(n: int) -> ParamTuple:
     return ParamTuple(n, Fraction(2, 3), TauVector(n, _angles(*tau)), omega)
 
 
+def present_param_seeded(n: int) -> ParamTuple:
+    """A seeded tuple with non-trivial tau and omega whose denominators differ per entry."""
+    rng = random.Random(8800 + n)
+    tau = TauVector(n, [UnitAngle(Fraction(rng.randrange(1, n), n)) for _ in range(n - 1)])
+    upper = {
+        (i, j): UnitAngle(Fraction(rng.randrange(d), d))
+        for i in range(1, n)
+        for j in range(i + 1, n)
+        for d in [rng.choice((5, 7, 9, 10, 12, 13, 16))]
+    }
+    return ParamTuple(n, Fraction(3, 5), tau, SkewBicharacter.from_upper_block(n, upper))
+
+
 OMEGA_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12)
 CLASSIFY_RANKS = (4, 5)
 
@@ -143,6 +160,7 @@ def rank_params(n: int, count: int = 15) -> list[ParamTuple]:
 
 PRESENT_RANKS = (2, 3, 4, 5, 6)
 DIGEST_RANK = 7
+SEEDED_DIGEST_RANK = 8
 PARAM_FILES = {
     "grid-params.json": lambda: [p.to_json() for p in _grid_params()],
     **{f"n{n}-params.json": (lambda n=n: [p.to_json() for p in rank_params(n)]) for n in CLASSIFY_RANKS},
@@ -150,6 +168,7 @@ PARAM_FILES = {
         f"present-n{n}-params.json": (lambda n=n: present_param(n).to_json())
         for n in PRESENT_RANKS + (DIGEST_RANK,)
     },
+    f"present-n{SEEDED_DIGEST_RANK}-params.json": lambda: present_param_seeded(SEEDED_DIGEST_RANK).to_json(),
 }
 
 
@@ -177,8 +196,7 @@ CLI_CASES = {
     **{name: args for n in PRESENT_RANKS for name, args in present_cases(n).items()},
     "selftest-quick.json": ("selftest", "--scale", "quick", "--report", "json"),
 }
-DIGEST_CASES = present_cases(DIGEST_RANK)
-DIGESTS = f"present-n{DIGEST_RANK}-digests.json"
+DIGESTS = {n: f"present-n{n}-digests.json" for n in (DIGEST_RANK, SEEDED_DIGEST_RANK)}
 
 
 def cli_case_stdout(args: tuple[str, ...]) -> str:
@@ -186,10 +204,10 @@ def cli_case_stdout(args: tuple[str, ...]) -> str:
     return cli_stdout(*(str(GOLDEN / a) if a in PARAM_FILES else a for a in args))
 
 
-def digest_text() -> str:
-    """Byte length and SHA-256 of each output too large to keep whole."""
+def digest_text(n: int) -> str:
+    """Byte length and SHA-256 of each rank-n output too large to keep whole."""
     entries = {}
-    for name, args in DIGEST_CASES.items():
+    for name, args in present_cases(n).items():
         data = cli_case_stdout(args).encode()
         entries[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     return json.dumps(entries, indent=1, sort_keys=True) + "\n"
@@ -221,7 +239,7 @@ def expected_files() -> dict[str, str]:
     files["cochains.jsonl"] = cochain_lines()
     files.update({name: spin_verify_stdout(args) for name, args in SPIN_CASES.items()})
     files.update({name: cli_case_stdout(args) for name, args in CLI_CASES.items()})
-    files[DIGESTS] = digest_text()
+    files.update({name: digest_text(n) for n, name in DIGESTS.items()})
     return files
 
 
@@ -250,7 +268,11 @@ def test_cli_output(name):
 
 
 def test_present_digests():
-    assert digest_text().encode() == (GOLDEN / DIGESTS).read_bytes()
+    assert digest_text(DIGEST_RANK).encode() == (GOLDEN / DIGESTS[DIGEST_RANK]).read_bytes()
+
+
+def test_present_n8_digests():
+    assert digest_text(SEEDED_DIGEST_RANK).encode() == (GOLDEN / DIGESTS[SEEDED_DIGEST_RANK]).read_bytes()
 
 
 if __name__ == "__main__":
