@@ -18,17 +18,32 @@ inv(sigma), sign (-1)^inv(sigma) and angle
     sum_k (k-1) (P[sigma_k] - P[k])  -  2 sum omega_ij over i < j with j before i in sigma,
 
 which is its tau exponent vector applied to tau, plus the omega sum over the
-permuted index sequence minus the one over 1..n.  One pass over the pairs of
-sigma gives the omega sum and inv(sigma) together.  A residue becomes a
-`UnitAngle` only when an output `CycloLaurent` is built, once per distinct
+permuted index sequence minus the one over 1..n.
+
+`quantum_det_relation` walks the permutations depth first, in lexicographic
+order, and carries the angle residue and inv along the prefix: placing column
+v in row k adds (k-1) P[v], plus 2 omega_uv and one inversion for each column
+u > v already placed, so each node of the walk costs O(n).  Every word is
+built from one table of generator pairs (i, j).  The n! words are distinct
+and come out in sorted order after the constant's empty word, so the relation
+is built as it is (`RelationPoly._presorted`), with no merge and no sort;
+every other relation goes through the merging constructor.  A residue becomes
+a `UnitAngle` only when an output `CycloLaurent` is built, once per distinct
 residue and call (`_Residues.coeff`), so no Fraction arithmetic runs per term.
+
+`serialize` formats each distinct coefficient object once: the coefficients
+`_Residues` shares recur across terms, and the cache is keyed by object
+identity while holding every relation it has read, so a freed object's id is
+never reused within a call.  Each generator is formatted once too.  The JSON
+framing is written by hand, byte for byte what `json.dumps` gives with
+separators (",", ":"), and both formats join one list of pieces once, at the
+end.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Sequence
 
 from .classification import ParamTuple
@@ -51,6 +66,13 @@ class RelationPoly:
         self.terms = tuple(
             sorted(((c, w) for w, c in merged.items() if not c.is_zero), key=lambda t: t[1])
         )
+
+    @classmethod
+    def _presorted(cls, terms: Iterable[tuple[CycloLaurent, Word]]) -> "RelationPoly":
+        """The relation of terms already in word order, with distinct words and nonzero coefficients."""
+        rel = cls.__new__(cls)
+        rel.terms = tuple(terms)
+        return rel
 
     @property
     def is_zero(self) -> bool:
@@ -144,28 +166,38 @@ def quantum_det_relation(p: ParamTuple) -> RelationPoly:
 
     sum over permutations of tau^m(sigma) * (-q)^inv(sigma) * conj(omega)(1..n)
     * omega(sigma(1..n)) * v_{1 sigma(1)} ... v_{n sigma(n)}, minus 1; the angle
-    is computed as a residue by the identity in the module docstring.
+    is computed as a residue by the identity in the module docstring, along
+    each prefix of a depth-first walk over the permutations.
     """
     n = p.n
-    res = _Residues(p.modulus)
+    coeff = _Residues(p.modulus).coeff
     P = p.prefix
     w2 = [[2 * x for x in row] for row in p.scaled_omega]
-    rows = range(1, n + 1)
-    base = -sum((k - 1) * P[k] for k in rows)
-    terms: list[tuple[CycloLaurent, Word]] = []
-    for sigma in permutations(rows):
-        r = base
-        inv = 0
-        for b in range(1, n):  # sigma[b] sits in row b + 1
-            v = sigma[b]
-            r += b * P[v]
-            for u in sigma[:b]:
+    gens = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    terms: list[tuple[CycloLaurent, Word]] = [(-CycloLaurent.one(), ())]
+    word: list[Gen] = []
+    placed: list[int] = []
+
+    def extend(row: int, free: list[int], r: int, inv: int) -> None:
+        # r and inv: angle residue and inversion count of the prefix in rows 1..row-1
+        row_gens, last = gens[row], row == n
+        for v in free:
+            rv, iv = r + (row - 1) * P[v], inv
+            for u in placed:
                 if u > v:  # v < u with u first: add -2 omega_vu = 2 omega_uv
-                    r += w2[u][v]
-                    inv += 1
-        terms.append((res.coeff(r, 2 * inv, -1 if inv % 2 else 1), tuple(zip(rows, sigma))))
-    terms.append((-CycloLaurent.one(), ()))
-    return RelationPoly(terms)
+                    rv += w2[u][v]
+                    iv += 1
+            word.append(row_gens[v])
+            if last:
+                terms.append((coeff(rv, 2 * iv, -1 if iv & 1 else 1), tuple(word)))
+            else:
+                placed.append(v)
+                extend(row + 1, [c for c in free if c != v], rv, iv)
+                placed.pop()
+            word.pop()
+
+    extend(1, list(range(1, n + 1)), -sum((k - 1) * P[k] for k in range(1, n + 1)), 0)
+    return RelationPoly._presorted(terms)
 
 
 def torus_character_residue(rel: RelationPoly, n: int) -> dict[tuple[int, ...], CycloLaurent]:
@@ -188,37 +220,81 @@ def torus_character_residue(rel: RelationPoly, n: int) -> dict[tuple[int, ...], 
     return {key: c for key, c in acc.items() if not c.is_zero}
 
 
+def _json_head(c: CycloLaurent) -> str:
+    """A JSON term up to its word: '{"coeff":[["a",e,m],...],"word":['."""
+    items = ",".join(f'["{a}",{e},{m}]' for a, e, m in c.sorted_terms())
+    return f'{{"coeff":[{items}],"word":['
+
+
+def _latex_head(c: CycloLaurent) -> str:
+    """A LaTeX term up to its word: '(m e^{2\\pi i \\cdot a} q^{e/2} + ...) '."""
+    return "(" + " + ".join(f"{m} e^{{2\\pi i \\cdot {a}}} q^{{{e}/2}}" for a, e, m in c.sorted_terms()) + ") "
+
+
+class _Texts(dict):
+    """key -> fmt(key), formatted on first lookup."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        text = self[key] = self.fmt(key)
+        return text
+
+
+def _term_texts(head, gen, sep: str):
+    """A reader of relations that yields (head, word text) per term, for one serialize call.
+
+    Each coefficient's head and each generator is formatted once.  Heads are
+    keyed by id(), and every terms tuple read is held until the reader is
+    dropped, so no id in the cache can be freed and reused by another object.
+    """
+    heads: dict[int, str] = {}
+    gen_text = _Texts(gen).__getitem__
+    held: list[tuple] = []
+
+    def read(rel: RelationPoly):
+        held.append(rel.terms)
+        for c, word in rel.terms:
+            h = heads.get(id(c))
+            if h is None:
+                h = heads[id(c)] = head(c)
+            yield h, sep.join(map(gen_text, word))
+
+    return read
+
+
 def serialize(rels: Sequence[RelationPoly], fmt: str = "json") -> str:
     """Deterministic JSON or LaTeX rendering of a relation list.
 
     The star structure (unitarity of the generator matrix) is carried as
-    metadata only.
+    metadata only.  The JSON is written by hand, and equals json.dumps of
+    [[{"coeff": [[str(angle), doubled exponent, mult], ...], "word": [[i, j], ...]}, ...], ...]
+    with separators (",", ":").  Both formats collect their pieces in one
+    list and join it once.
     """
     if fmt == "json":
-        payload = []
-        for rel in rels:
-            payload.append(
-                [
-                    {
-                        "coeff": [[str(a), e, m] for a, e, m in coeff.sorted_terms()],
-                        "word": [list(g) for g in word],
-                    }
-                    for coeff, word in rel.terms
-                ]
-            )
-        return json.dumps(payload, separators=(",", ":"))
+        texts = _term_texts(_json_head, lambda g: f"[{g[0]},{g[1]}]", ",")
+        out = ["["]
+        for r, rel in enumerate(rels):
+            out.append(",[" if r else "[")
+            for t, (head, word) in enumerate(texts(rel)):
+                out += ("," if t else "", head, word, "]}")
+            out.append("]")
+        out.append("]")
+        return "".join(out)
     if fmt == "latex":
-        lines = ["% star structure: the matrix (v_{ij}) is required to be unitary"]
+        texts = _term_texts(_latex_head, lambda g: f"v_{{{g[0]}{g[1]}}}", " ")
+        out = ["% star structure: the matrix (v_{ij}) is required to be unitary"]
         for rel in rels:
-            parts = []
-            for coeff, word in rel.terms:
-                cs = " + ".join(
-                    f"{m} e^{{2\\pi i \\cdot {a}}} q^{{{e}/2}}" for a, e, m in coeff.sorted_terms()
-                )
-                ws = " ".join(f"v_{{{i}{j}}}" for i, j in word) or "1"
-                parts.append(f"({cs}) {ws}")
-            lines.append(" + ".join(parts) + " = 0 \\\\")
-        return "\n".join(lines)
+            out.append("\n")
+            for t, (head, word) in enumerate(texts(rel)):
+                out += (" + " if t else "", head, word or "1")
+            out.append(" = 0 \\\\")
+        return "".join(out)
     raise ValueError(f"unknown format {fmt!r}")
 
 

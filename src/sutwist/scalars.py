@@ -195,7 +195,9 @@ class CycloLaurent(_Sparse):
 
     @classmethod
     def from_angle(cls, a: UnitAngle, doubled_exponent: int = 0, mult: int = 1) -> "CycloLaurent":
-        return cls({(a, doubled_exponent): mult})
+        c = cls.__new__(cls)  # one term: no merge, and the key is hashed once
+        c.terms = {(a, doubled_exponent): mult} if mult else {}
+        return c
 
     def __mul__(self, other: "CycloLaurent") -> "CycloLaurent":
         out: dict[tuple[UnitAngle, int], int] = {}

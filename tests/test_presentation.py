@@ -1,5 +1,6 @@
 """Tests for the generators-and-relations output and its sanity checks."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -246,3 +247,56 @@ def det_params(draw):
 @given(det_params())
 def test_det_relation_matches_fraction_reference(p):
     assert quantum_det_relation(p) == reference_det_relation(p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_presorted_det_relation_is_the_normal_form(n):
+    """The determinant relation, built without merge or sort, equals the merging constructor's result."""
+    rel = quantum_det_relation(seeded_param(random.Random(300 + n), n))
+    shuffled = list(rel.terms)
+    random.Random(n).shuffle(shuffled)
+    assert RelationPoly(shuffled) == rel
+    assert RelationPoly(shuffled).terms == rel.terms
+
+
+@st.composite
+def present_params(draw):
+    """Tuples at n = 2..5 with omega denominators up to 12."""
+    n = draw(st.integers(2, 5))
+    return seeded_param(random.Random(draw(st.integers(0, 2**32))), n)
+
+
+def reference_json(rels):
+    """The payload serialize('json') stands for, dumped by the json module."""
+    payload = [
+        [
+            {"coeff": [[str(a), e, m] for a, e, m in coeff.sorted_terms()], "word": [list(g) for g in word]}
+            for coeff, word in rel.terms
+        ]
+        for rel in rels
+    ]
+    return json.dumps(payload, separators=(",", ":"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(present_params())
+def test_json_round_trip(p):
+    rels = generate_relations(p)
+    assert parse_relations(serialize(rels, "json")) == rels
+
+
+@settings(max_examples=30, deadline=None)
+@given(present_params())
+def test_json_equals_dumped_payload(p):
+    rels = generate_relations(p) + [RelationPoly([])]
+    assert serialize(rels, "json") == reference_json(rels)
+
+
+def test_one_shot_relations_are_not_confused_by_reused_ids():
+    """Each relation below is dropped once read, so CPython may hand its coefficient's id to the next one."""
+
+    def fresh():
+        for k in range(60):
+            yield RelationPoly([(CycloLaurent.from_angle(UnitAngle(Fraction(k, 61)), k, 1), ((1, 2),))])
+
+    assert serialize(fresh(), "json") == reference_json(list(fresh()))
