@@ -197,6 +197,7 @@ def quantum_det_relation(p: ParamTuple) -> RelationPoly:
             word.pop()
 
     extend(1, list(range(1, n + 1)), -sum((k - 1) * P[k] for k in range(1, n + 1)), 0)
+    del extend  # it refers to itself: without this, the cycle keeps the residue cache alive until a gc pass
     return RelationPoly._presorted(terms)
 
 
@@ -273,8 +274,7 @@ def serialize(rels: Sequence[RelationPoly], fmt: str = "json") -> str:
     The star structure (unitarity of the generator matrix) is carried as
     metadata only.  The JSON is written by hand, and equals json.dumps of
     [[{"coeff": [[str(angle), doubled exponent, mult], ...], "word": [[i, j], ...]}, ...], ...]
-    with separators (",", ":").  Both formats collect their pieces in one
-    list and join it once.
+    with separators (",", ":").
     """
     if fmt == "json":
         texts = _term_texts(_json_head, lambda g: f"[{g[0]},{g[1]}]", ",")

@@ -1,5 +1,6 @@
 """Tests for the generators-and-relations output and its sanity checks."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -257,6 +258,18 @@ def test_presorted_det_relation_is_the_normal_form(n):
     random.Random(n).shuffle(shuffled)
     assert RelationPoly(shuffled) == rel
     assert RelationPoly(shuffled).terms == rel.terms
+
+
+def test_det_relation_leaves_no_reference_cycle():
+    """The walk's recursive helper must not keep the call's coefficient cache alive after it returns."""
+    p = seeded_param(random.Random(7), 5)
+    gc.collect()
+    gc.disable()
+    try:
+        quantum_det_relation(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @st.composite
