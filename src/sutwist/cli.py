@@ -104,9 +104,9 @@ def cohomology_cmd(args: argparse.Namespace) -> int:
 # Work budgets, measured on a 2-core x86-64 host under Python 3.11.
 # present: the quantum determinant relation has n! terms, and memory grows with
 # the number of distinct coefficients among them.  n = 8 (40320 terms) takes
-# 0.3-0.4 s, 3.8 MB of JSON and 41-54 MB; when all 40320 coefficients are
-# distinct, 0.7 s, 5.0 MB and 72 MB.  n = 9 stays out: with all 362880
-# coefficients distinct it takes 7.5 s, 50 MB of JSON and 556 MB.
+# 0.25-0.35 s, 3.8 MB of JSON and 39-53 MB; when all 40320 coefficients are
+# distinct, 0.6 s, 5.0 MB and 70 MB.  n = 9 stays out: with all 362880
+# coefficients distinct it takes 5.2 s, 50 MB of JSON and 522 MB.
 PRESENT_MAX_N = 8
 # spin-verify: the checks work on the 2^(n-1)-dimensional half-spin
 # representation and its tensor square; --n 13 (dimension 4096) takes about
