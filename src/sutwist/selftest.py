@@ -106,8 +106,14 @@ def check_pairing_values(scale: str = "full") -> CheckResult:
 
 def check_invariant_map(scale: str = "full") -> CheckResult:
     """The spin invariant vector induces a scalar endomorphism at sample q."""
-    qs = (Fraction(1), Fraction(1, 4)) if scale == "quick" else (Fraction(1), Fraction(1, 4), Fraction(4))
-    results = {str(q): theorem_a1_check(3, q) for q in qs}
+    if scale == "quick":
+        ranks, qs = (3,), (Fraction(1), Fraction(1, 4))
+    else:
+        ranks, qs = (3, 5, 7), (Fraction(1), Fraction(1, 4), Fraction(4))
+    # one rank is labelled by q alone
+    results = {
+        (f"{n},{q}" if len(ranks) > 1 else str(q)): theorem_a1_check(n, q) for n in ranks for q in qs
+    }
     return CheckResult(
         "invariant-scalar-map",
         all(results.values()),

@@ -11,18 +11,22 @@ Two routines, one per caller:
   no Fraction enters there.  Its matrices stay below a few hundred rows of
   small entries.
 - `kernel_basis` serves `spin.invariant_f`: a basis of the right kernel of a
-  rational matrix, by Gauss-Jordan elimination over Fraction, with every
-  basis vector checked against every row before it is returned.  Routing that
-  solve through `smith_normal_form` instead is much slower: the pivot loop
-  does nothing to bound coefficient growth, and on the invariant-vector rows
-  at q0 = 4/9 (cleared to integers) its entries grow to millions of bits.
+  rational system whose rows have at most two nonzeros, solved over a
+  spanning forest of the graph with one node per column and one edge per
+  row.  The forest is a certificate (McConnell et al., "Certifying
+  algorithms", 2011): its tree edges force every value of a component from
+  its root, so each component adds at most one dimension; every row not in
+  the forest is then tested exactly, so the dimension found is exact and no
+  row is left unchecked.  Each basis vector is also checked against every
+  row before it is returned.  No caller builds a row with three nonzeros,
+  and one is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
+from typing import Mapping, Sequence
 
 Matrix = list[list[int]]
 
@@ -104,51 +108,59 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
-def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix given as a list of rows.
+def kernel_basis(rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix with at most two nonzeros per row.
 
-    Raises ArithmeticError if a basis vector fails to annihilate some row.
-    The check clears denominators first, so it runs on integers.
+    `rows` are sparse (column -> entry) over columns 0..ncols-1.  Each column
+    is a node and each two-entry row an edge; every component, rooted at its
+    largest column with value 1, gets the value its spanning tree forces on
+    each column.  A one-entry row, or a non-tree row that fails, forces the
+    root to zero.  Every other component gives one basis vector, listed by
+    root, so the basis is the reduced one that Gauss-Jordan elimination
+    returns.  Raises ArithmeticError on a row with more than two nonzeros,
+    and if a basis vector fails to annihilate some row.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    edges: list[list[tuple[int, int, Fraction, Fraction]]] = [[] for _ in range(ncols)]
+    forced = [False] * ncols
+    for i, row in enumerate(rows):
+        terms = [(c, a) for c, a in row.items() if a]
+        if len(terms) > 2:
+            raise ArithmeticError(f"row {i} has {len(terms)} nonzeros; the forest kernel takes at most two")
+        if len(terms) == 1:
+            forced[terms[0][0]] = True
+        elif terms:
+            (u, a), (v, b) = terms
+            edges[u].append((i, v, a, b))
+            edges[v].append((i, u, b, a))
+    value: list[Fraction | None] = [None] * ncols
+    seen = [False] * len(rows)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        basis.append(vec)
-    int_rows = [_cleared(row) for row in rows]
+    for root in reversed(range(ncols)):
+        if value[root] is not None:
+            continue
+        value[root] = Fraction(1)
+        component = [root]
+        live = True
+        for u in component:
+            live = live and not forced[u]
+            for i, v, a, b in edges[u]:
+                if seen[i]:
+                    continue
+                seen[i] = True
+                # row i reads a * x_u + b * x_v = 0
+                if value[v] is None:
+                    value[v] = -a * value[u] / b
+                    component.append(v)
+                elif a * value[u] + b * value[v]:
+                    live = False
+        if live:
+            vec = [Fraction(0)] * ncols
+            for c in component:
+                vec[c] = value[c]
+            basis.append(vec)
+    basis.reverse()
     for k, vec in enumerate(basis):
-        int_vec = _cleared(vec)
-        for i, row in enumerate(int_rows):
-            if sum(map(mul, row, int_vec)) != 0:
+        for i, row in enumerate(rows):
+            if sum(a * vec[c] for c, a in row.items()):
                 raise ArithmeticError(f"kernel vector {k} does not annihilate row {i}")
     return basis
-
-
-def _cleared(v: list[Fraction]) -> list[int]:
-    """A positive integer multiple of a rational vector."""
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v]

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from sutwist.cli import main
+from sutwist.cli import SPIN_Q_MAX_N, main
 from sutwist.classification import ParamTuple
 
 
@@ -160,8 +160,32 @@ class TestSpinVerify:
         assert "error:" in capsys.readouterr().err
 
     def test_q_with_other_rank_rejected(self, capsys):
-        assert main(["spin-verify", "--n", "5", "--q", "1/4"]) == 2
+        assert main(["spin-verify", "--n", str(SPIN_Q_MAX_N + 2), "--q", "1/4"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "n, q, message",
+        [
+            (11, "abc", "invalid rational 'abc'"),
+            (3, "1/0", "invalid rational '1/0'"),
+            (3, "-1/4", "--q must be positive, got -1/4"),
+            (3, "0", "--q must be positive, got 0"),
+            (3, "1/2", "--q 1/2: 1/2 is not a square of a rational"),
+            (SPIN_Q_MAX_N + 2, "4/9", f"the limit is --n {SPIN_Q_MAX_N}"),
+        ],
+    )
+    def test_bad_q_refused_before_any_basis(self, capsys, monkeypatch, n, q, message):
+        from sutwist import spin
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a spin basis was built")
+
+        for name in ("build_spin_rep", "SubsetBasis", "VectorBasis"):
+            monkeypatch.setattr(spin, name, no_basis)
+        assert main(["spin-verify", "--n", str(n), f"--q={q}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
     def test_rank_above_work_budget_refused_before_any_basis(self, capsys, monkeypatch):
         from sutwist import spin

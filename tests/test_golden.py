@@ -9,7 +9,9 @@ reproduce them byte for byte.
 
 It also holds the stdout of `sutwist spin-verify` at n = 3, 5, 7, 9 with
 `--report json`, and at n = 3 with `--q 4/9` and `--q 1/4` in both report
-styles, captured from the HalfLaurent-backed spin implementation.
+styles, captured from the HalfLaurent-backed spin implementation.  The
+`--q 4/9` outputs at n = 5 and 7 were captured from the spanning-forest
+invariant-vector solve, since the dense elimination before it refused n > 3.
 
 It also holds `classify` and `canonical` with `--report text` on the 162
 rank-3 tuples of `selftest._grid_params()` and on 45 seeded tuples at each of
@@ -90,6 +92,7 @@ SPIN_CASES = {
         for q, label in (("4/9", "4_9"), ("1/4", "1_4"))
         for report in ("json", "text")
     },
+    **{f"spin-verify-n{n}-q4_9.json": ("--n", str(n), "--q", "4/9", "--report", "json") for n in (5, 7)},
 }
 
 

@@ -368,9 +368,14 @@ class TestInvariantVector:
         with pytest.raises(NonSquareBase):
             invariant_f(3, Fraction(1, 2))
 
-    def test_other_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            invariant_f(5, Fraction(1, 4))
+    def test_other_ranks_rejected(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a representation was built")
+
+        monkeypatch.setattr(spin, "build_spin_rep", no_rows)
+        monkeypatch.setattr(spin, "build_vector_rep", no_rows)
+        with pytest.raises(ValueError, match=f"n <= {spin.INVARIANT_MAX_N}"):
+            invariant_f(spin.INVARIANT_MAX_N + 2, Fraction(1, 4))
 
 
 class TestModeMismatch:
