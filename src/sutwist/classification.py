@@ -5,13 +5,13 @@ invariants: q itself, the central invariant sum_i i*tau_i, and the upper
 triangular matrix combining the doubled omega angles with tau-interval sums.
 The mirror case composes the second tuple with the order-2 diagram symmetry.
 
-Each invariant is an integer combination of the tau and omega angles, so it is
-computed on the residue record that `ParamTuple` builds once: the angles as
-integers over L = lcm(n, the modulus of omega), where tau_i = t_i / n and the
-modulus of omega is the lcm of its denominators.  The central invariant is
-sum_i i*t_i mod n.  Isomorphic tuples can have different L (a half-turn twist
-of omega changes its modulus but no invariant), so `_decide` compares each
-matrix reduced to its least modulus, and n*central mod n, never raw residues.
+Both matrices are read off the alternation table M of `ParamTuple`, built
+once per tuple: the direct matrix is M_ij and the mirror matrix
+M_{n+1-i, n+1-j}, over 1 <= i < j <= n-1.  The central invariant is
+sum_i i*t_i mod n, where tau_i = t_i / n; every row of M sums to -L/n times
+it.  Isomorphic tuples can have different L (a half-turn twist of omega
+changes its modulus but no invariant), so `_decide` compares each matrix
+reduced to its least modulus, and n*central mod n, never raw residues.
 """
 
 from __future__ import annotations
@@ -114,14 +114,16 @@ def _list(value: object, what: str) -> list:
 
 
 class ParamTuple:
-    """The full classification datum (n, q, tau, omega), with its residue record.
+    """The full classification datum (n, q, tau, omega), with its alternation table.
 
-    The record holds the angles as integers over `modulus` L = lcm(n, the
-    modulus of omega): `prefix[j]` = L*(tau_1 + ... + tau_{j-1}) and
-    `scaled_omega[i][j]` = L*omega_ij, both 1-indexed (index 0 is padding).
+    With `modulus` L = lcm(n, the lcm of omega's denominators), `alternation[u][v]`
+    is L*(tau_u + ... + tau_{v-1} + 2*omega_uv) mod L for u < v; the table is
+    antisymmetric and 1-indexed (row and column 0 are zero padding).  It is L
+    times the alternation of the torus twist c_tau + omega on the basis weights,
+    and classification and presentation read only it and L.
     """
 
-    __slots__ = ("n", "q", "tau", "omega", "modulus", "prefix", "scaled_omega")
+    __slots__ = ("n", "q", "tau", "omega", "modulus", "alternation")
 
     def __init__(self, n: int, q: Fraction, tau: TauVector, omega: SkewBicharacter) -> None:
         if n < 2:
@@ -137,8 +139,9 @@ class ParamTuple:
         self.omega = omega
         L = self.modulus = lcm(n, omega.modulus)
         s, u = L // n, L // omega.modulus
-        self.prefix = (0, *accumulate((s * t for t in tau.t), initial=0))
-        self.scaled_omega = ((0,) * (n + 1), *((0, *(u * x for x in row)) for row in omega.nums))
+        P = tuple(accumulate((s * t for t in tau.t), initial=0))  # P[a] = L*(tau_1 + ... + tau_a)
+        M = [[(P[b] - P[a] + 2 * u * w) % L for b, w in enumerate(row)] for a, row in enumerate(omega.nums)]
+        self.alternation = ((0,) * (n + 1), *((0, *row) for row in M))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -191,11 +194,8 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 def _matrices(p: ParamTuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The direct and the mirror matrix of p as residues mod p.modulus, in `_pairs` order."""
-    n, L, P, w = p.n, p.modulus, p.prefix, p.scaled_omega
-    pairs = _pairs(n)
-    direct = tuple((2 * w[i][j] + P[j] - P[i]) % L for i, j in pairs)
-    mirror = tuple((2 * w[n - i + 1][n - j + 1] - P[n - i + 1] + P[n - j + 1]) % L for i, j in pairs)
-    return direct, mirror
+    n, M, pairs = p.n, p.alternation, _pairs(p.n)
+    return tuple(M[i][j] for i, j in pairs), tuple(M[n + 1 - i][n + 1 - j] for i, j in pairs)
 
 
 def _angle_matrix(p: ParamTuple, flat: Sequence[int]) -> Matrix:

@@ -10,7 +10,9 @@ identical bytes.  Exit codes: 0 success, 1 check failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -180,6 +182,11 @@ def selftest_cmd(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+# argparse's negative-number pattern, widened to rationals so "--q -1/4" reaches the sign check
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sutwist",
@@ -198,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=None, help="rank parameter n")
         if q:
             p.add_argument("--q", default=None, metavar="P/Q", help="rational deformation value")
+            p._negative_number_matcher = _NEGATIVE_NUMBER
         if scale:
             p.add_argument("--scale", choices=["quick", "full"], default="quick", help="test scale")
         p.add_argument("--report", choices=["json", "text"], default="json", help="report style")
@@ -214,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

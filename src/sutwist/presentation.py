@@ -5,30 +5,28 @@ Relations are emitted in sum-to-zero form: a relation is a list of
 (i, j) for v_{ij} and coefficients are exact root-of-unity times q-power sums.
 The quantum determinant relation stores its constant -1 as an empty-word term.
 
-Every coefficient angle is computed as an integer residue, read from the
-residue record that `ParamTuple` builds once.  Its modulus L is the lcm of n
-and of the denominators of all omega_ij; each tau_k is an n-th root of unity,
-so L*tau_k and L*omega_ij are integers, and every angle below is an integer
-combination of them, reduced mod L.  With P[j] = L*(tau_1 + ... + tau_{j-1})
-the prefix sums (`ParamTuple.prefix`) and W[i][j] = L*omega_ij
-(`ParamTuple.scaled_omega`), a tau interval tau_i + ... + tau_{j-1} is
-P[j] - P[i].  The determinant term of a permutation sigma has q-exponent
-inv(sigma), sign (-1)^inv(sigma) and angle
+Every coefficient angle is computed as an integer residue mod L, read from
+the alternation table M that `ParamTuple` builds once (`ParamTuple.alternation`):
+M_uv = L*(tau_u + ... + tau_{v-1} + 2*omega_uv) mod L for u < v, M_vu = -M_uv,
+where L is the lcm of n and of the denominators of all omega_ij.  Each
+quadratic coefficient is e(+-M_ik / L), e(+-M_jl / L) or a product of the two,
+times the standard q power and sign.  The determinant term of a permutation
+sigma has q-exponent inv(sigma), sign (-1)^inv(sigma) and angle
 
-    sum_k (k-1) (P[sigma_k] - P[k])  -  2 sum omega_ij over i < j with j before i in sigma,
+    sum of M_uv over the pairs u > v with u before v in sigma,
 
 which is its tau exponent vector applied to tau, plus the omega sum over the
 permuted index sequence minus the one over 1..n.
 
 `quantum_det_relation` walks the permutations depth first, in lexicographic
-order, and carries the angle residue and inv along the prefix: placing column
-v in row k adds (k-1) P[v], plus 2 omega_uv and one inversion for each column
-u > v already placed, so each node of the walk costs O(n).  Every word is
-built from one table of generator pairs (i, j).  The n! words are distinct
-and come out in sorted order after the constant's empty word, so the relation
-is built as it is (`RelationPoly._presorted`), with no merge and no sort;
-every other relation goes through the merging constructor.  A residue becomes
-a `UnitAngle` only when an output `CycloLaurent` is built, once per distinct
+order, and carries the angle residue and inv along the prefix, starting from
+0: placing column v adds M_uv and one inversion for each column u > v already
+placed, so each node of the walk costs O(n).  Every word is built from one
+table of generator pairs (i, j).  The n! words are distinct and come out in
+sorted order after the constant's empty word, so the relation is built as it
+is (`RelationPoly._presorted`), with no merge and no sort; every other
+relation goes through the merging constructor.  A residue becomes a
+`UnitAngle` only when an output `CycloLaurent` is built, once per distinct
 residue and call (`_Residues.coeff`), so no Fraction arithmetic runs per term.
 
 `serialize` formats each distinct coefficient object once: the coefficients
@@ -121,42 +119,37 @@ def generate_relations(p: ParamTuple) -> list[RelationPoly]:
     Specializing to trivial tau and omega recovers the standard FRT relations
     of quantum SU(n).
     """
-    n = p.n
-    P, w, coeff = p.prefix, p.scaled_omega, _Residues(p.modulus).coeff
+    n, M, coeff = p.n, p.alternation, _Residues(p.modulus).coeff
     rels: list[RelationPoly] = []
     one = CycloLaurent.one()
+
+    def commute(a: Gen, b: Gen, r: int, doubled_exponent: int) -> None:
+        rels.append(RelationPoly([(one, (a, b)), (coeff(r, doubled_exponent, -1), (b, a))]))
+
     # same row: v_ij v_il = (prod tau_p^-1, j<=p<l) q conj(omega_jl)^2 v_il v_ij
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for l in range(j + 1, n + 1):
-                c = coeff(P[j] - P[l] - 2 * w[j][l], 2, -1)
-                rels.append(RelationPoly([(one, ((i, j), (i, l))), (c, ((i, l), (i, j)))]))
+                commute((i, j), (i, l), -M[j][l], 2)
     # same column: v_ij v_kj = (prod tau_p, i<=p<k) q omega_ik^2 v_kj v_ij
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             for k in range(i + 1, n + 1):
-                c = coeff(P[k] - P[i] + 2 * w[i][k], 2, -1)
-                rels.append(RelationPoly([(one, ((i, j), (k, j))), (c, ((k, j), (i, j)))]))
+                commute((i, j), (k, j), M[i][k], 2)
     # crossing, i > k and j < l: v_ij v_kl = (tau products) omega_ik^2 conj(omega_jl)^2 v_kl v_ij
     for i in range(1, n + 1):
         for k in range(1, i):
             for j in range(1, n + 1):
                 for l in range(j + 1, n + 1):
-                    c = coeff(P[k] - P[i] + P[j] - P[l] + 2 * w[i][k] - 2 * w[j][l], 0, -1)
-                    rels.append(RelationPoly([(one, ((i, j), (k, l))), (c, ((k, l), (i, j)))]))
+                    commute((i, j), (k, l), M[i][k] - M[j][l], 0)
     # crossing, i < k and j < l, with the (q - q^-1) term
     minus_q_comm = CycloLaurent({(ZERO_ANGLE, 2): -1, (ZERO_ANGLE, -2): 1})
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
             for j in range(1, n + 1):
                 for l in range(j + 1, n + 1):
-                    c1 = coeff(P[l] - P[j] + 2 * w[j][l])
-                    c2 = coeff(P[k] - P[i] - 2 * w[k][i], 0, -1)
-                    rels.append(
-                        RelationPoly(
-                            [(c1, ((i, j), (k, l))), (c2, ((k, l), (i, j))), (minus_q_comm, ((i, l), (k, j)))]
-                        )
-                    )
+                    terms = [(coeff(M[j][l]), ((i, j), (k, l))), (coeff(M[i][k], 0, -1), ((k, l), (i, j)))]
+                    rels.append(RelationPoly(terms + [(minus_q_comm, ((i, l), (k, j)))]))
     rels.append(quantum_det_relation(p))
     return rels
 
@@ -169,10 +162,7 @@ def quantum_det_relation(p: ParamTuple) -> RelationPoly:
     is computed as a residue by the identity in the module docstring, along
     each prefix of a depth-first walk over the permutations.
     """
-    n = p.n
-    coeff = _Residues(p.modulus).coeff
-    P = p.prefix
-    w2 = [[2 * x for x in row] for row in p.scaled_omega]
+    n, M, coeff = p.n, p.alternation, _Residues(p.modulus).coeff
     gens = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]
     terms: list[tuple[CycloLaurent, Word]] = [(-CycloLaurent.one(), ())]
     word: list[Gen] = []
@@ -182,10 +172,10 @@ def quantum_det_relation(p: ParamTuple) -> RelationPoly:
         # r and inv: angle residue and inversion count of the prefix in rows 1..row-1
         row_gens, last = gens[row], row == n
         for v in free:
-            rv, iv = r + (row - 1) * P[v], inv
+            rv, iv = r, inv
             for u in placed:
-                if u > v:  # v < u with u first: add -2 omega_vu = 2 omega_uv
-                    rv += w2[u][v]
+                if u > v:  # an inversion: u before v and u > v
+                    rv += M[u][v]
                     iv += 1
             word.append(row_gens[v])
             if last:
@@ -196,7 +186,7 @@ def quantum_det_relation(p: ParamTuple) -> RelationPoly:
                 placed.pop()
             word.pop()
 
-    extend(1, list(range(1, n + 1)), -sum((k - 1) * P[k] for k in range(1, n + 1)), 0)
+    extend(1, list(range(1, n + 1)), 0, 0)
     del extend  # it refers to itself: without this, the cycle keeps the residue cache alive until a gc pass
     return RelationPoly._presorted(terms)
 

@@ -203,17 +203,24 @@ class TestSerialization:
 
 
 @st.composite
-def params(draw, low=2, high=6):
-    """A tuple of rank low..high with omega denominators up to 12."""
-    n = draw(st.integers(low, high))
-    taus = [Fraction(draw(st.integers(0, n - 1)), n) for _ in range(n - 1)]
+def bicharacters(draw, n):
+    """A skew bicharacter of rank n with denominators up to 12."""
     upper = {}
     for i in range(1, n - 1):
         for j in range(i + 1, n):
             d = draw(st.integers(1, 12))
             upper[(i, j)] = UnitAngle(Fraction(draw(st.integers(0, d - 1)), d))
+    return SkewBicharacter.from_upper_block(n, upper)
+
+
+@st.composite
+def params(draw, low=2, high=6):
+    """A tuple of rank low..high with omega denominators up to 12."""
+    n = draw(st.integers(low, high))
+    taus = [Fraction(draw(st.integers(0, n - 1)), n) for _ in range(n - 1)]
+    omega = draw(bicharacters(n))
     q = draw(st.sampled_from((Q, Fraction(2, 3))))
-    return ParamTuple(n, q, TauVector.from_fractions(n, taus), SkewBicharacter.from_upper_block(n, upper))
+    return ParamTuple(n, q, TauVector.from_fractions(n, taus), omega)
 
 
 def tau_sum(p, i, j):
@@ -222,7 +229,7 @@ def tau_sum(p, i, j):
 
 
 class TestResidueReference:
-    """The integer invariants and the residue record against Fraction sums of the angles."""
+    """The integer invariants against Fraction sums of the angles."""
 
     @settings(max_examples=60, deadline=None)
     @given(params())
@@ -243,17 +250,38 @@ class TestResidueReference:
         assert pair_invariant(p) == direct
         assert mirror_invariant(p) == mirror
 
+
+def table_angle(p, u, v):
+    return UnitAngle(Fraction(p.alternation[u][v], p.modulus))
+
+
+class TestAlternationTable:
+    """The alternation table M of `ParamTuple` against the tau and omega angles."""
+
     @settings(max_examples=60, deadline=None)
     @given(params())
-    def test_record_round_trips(self, p):
-        n, L = p.n, p.modulus
+    def test_entries_antisymmetry_and_row_sums(self, p):
+        n, L, M = p.n, p.modulus, p.alternation
         assert L == lcm(n, *(a.value.denominator for row in p.omega.angles for a in row))
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                assert UnitAngle(Fraction(p.prefix[j] - p.prefix[i], L)) == UnitAngle(tau_sum(p, i, j))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert UnitAngle(Fraction(p.scaled_omega[i][j], L)) == p.omega.angle(i, j)
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                assert 0 <= M[u][v] < L
+                assert (M[u][v] + M[v][u]) % L == 0
+                if u < v:
+                    assert table_angle(p, u, v) == UnitAngle(tau_sum(p, u, v) + 2 * p.omega.angle(u, v).value)
+            assert UnitAngle(Fraction(sum(M[u]), L)) == -central_invariant(p.tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params(), st.data())
+    def test_theta_reverses_indices_and_twist_compose_adds_twice_the_twist(self, p, data):
+        n, image = p.n, theta_transform(p)
+        beta = data.draw(bicharacters(n))
+        twisted = twist_compose(p, beta)
+        assert image.modulus == p.modulus
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                assert image.alternation[u][v] == p.alternation[n + 1 - u][n + 1 - v]
+                assert table_angle(twisted, u, v) == table_angle(p, u, v) + UnitAngle(2 * beta.angle(u, v).value)
 
 
 def half_turns(n):

@@ -187,6 +187,19 @@ class TestSpinVerify:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
+    def test_one_parser_keeps_no_state_between_calls(self, capsys):
+        assert main(["spin-verify", "--n", "3", "--q", "1/4"]) == 0
+        capsys.readouterr()
+        assert main(["spin-verify", "--n", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert not any("invariant-scalar-map" in item["name"] for item in payload["items"])
+
+    @pytest.mark.parametrize("spelling", [["--q=-1/4"], ["--q", "-1/4"]])
+    def test_negative_q_named_in_either_spelling(self, capsys, spelling):
+        assert main(["spin-verify", "--n", "3", *spelling]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --q must be positive, got -1/4\n"
+
     def test_rank_above_work_budget_refused_before_any_basis(self, capsys, monkeypatch):
         from sutwist import spin
         from sutwist.cli import SPIN_MAX_N

@@ -3,14 +3,16 @@
 import gc
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sutwist.classification import ParamTuple, SkewBicharacter, pair_invariant
+from sutwist.classification import ParamTuple, SkewBicharacter, pair_invariant, theta_transform
 from sutwist.lattice import TauVector
 from sutwist.presentation import (
     RelationPoly,
@@ -313,3 +315,44 @@ def test_one_shot_relations_are_not_confused_by_reused_ids():
             yield RelationPoly([(CycloLaurent.from_angle(UnitAngle(Fraction(k, 61)), k, 1), ((1, 2),))])
 
     assert serialize(fresh(), "json") == reference_json(list(fresh()))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_verdicts(corpus):
+    """The tuples of a golden classify corpus and the isomorphism matrix recorded for them."""
+    params = [ParamTuple.from_json(item) for item in json.loads((GOLDEN / f"{corpus}-params.json").read_text())]
+    for line in (GOLDEN / f"classify-{corpus}.text").read_text().splitlines():
+        key, _, value = line.partition(": ")
+        if key == "isomorphism_matrix":
+            return params, json.loads(value)
+    raise ValueError(f"classify-{corpus}.text has no isomorphism_matrix line")
+
+
+@pytest.mark.parametrize("corpus", ["grid", "n4", "n5"])
+def test_relation_sets_decide_the_recorded_verdicts(corpus):
+    """The relations are a function of (q, M), so on same-q pairs they alone give each verdict.
+
+    DIRECT exactly when the two relation sets are equal, MIRROR exactly when
+    they differ and the set of theta(a) equals that of b, NO otherwise.
+    """
+    params, verdicts = golden_verdicts(corpus)
+    ids: dict[frozenset, int] = {}
+    known: dict[ParamTuple, int] = {}  # theta(p) is often in the corpus already
+
+    def set_id(p):
+        if p not in known:
+            known[p] = ids.setdefault(frozenset(generate_relations(p)), len(ids))
+        return known[p]
+
+    own = [set_id(p) for p in params]
+    mirrored = [set_id(theta_transform(p)) for p in params]
+    seen = Counter()
+    for a, row in enumerate(verdicts):
+        for b, verdict in enumerate(row):
+            if params[a].q == params[b].q:
+                expected = "direct" if own[a] == own[b] else "mirror" if mirrored[a] == own[b] else "no"
+                assert verdict == expected, (a, b)
+                seen[verdict] += 1
+    assert set(seen) == {"direct", "mirror", "no"}, seen
